@@ -64,12 +64,13 @@ bench-core:
 	$(GO) run ./cmd/incshrink-bench -exp core
 
 # bench-smoke compiles and runs every data-plane benchmark once — the
-# pooled-operator benchmarks and the root-package Advance/Count/CountWhere
-# benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs
-# this).
+# pooled-operator and GMW gate benchmarks, the root-package
+# Advance/Count/CountWhere benchmarks behind BENCH_core.json, and the
+# operator ablations (truncated joins, Batcher vs stdlib sort) — so none of
+# them can bit-rot (CI runs this).
 bench-smoke:
-	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray
-	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount' -benchtime 1x .
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
+	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount|BenchmarkAblation' -benchtime 1x .
 
 # bench-batch is the batched-ingestion smoke (CI runs this): a short serve
 # benchmark comparing batch=1 against batch=8 on the Go-API and HTTP ingest

@@ -30,53 +30,38 @@ var OblivTaintPackages = []string{
 // bodies are exempt from taint sinks, the same way DetClockSanctioned
 // exempts the obs layer from the wall-clock ban. These are the functions
 // that BUILD obliviousness for everyone else: comparator networks,
-// flag-blinded counter maintenance, and GMW openings of uniformly masked
-// wire values. Each entry is "<module-relative-pkg>.<Recv.>Name"; the
-// sanction covers the whole function body, so keep the primitives small.
+// flag-blinded counter maintenance, and the fixed-shape scans over the
+// arena. Each entry is "<module-relative-pkg>.<Recv.>Name"; the sanction
+// covers the whole function body, so keep the primitives small. Every entry
+// must name an existing declaration (TestSanctionTablesResolve).
 // Rebindable from -oblivtaint.sanction.
 //
 // Sanction rationale, by group:
-//   - Entries: the declared read-out surface — materializing slots IS its
-//     contract (diagnostic and test use; the hot path never leaves the
-//     arena).
-//   - Buffer counter maintenance (SetReal, Append*, Truncate, CutPrefix,
-//     ScanReal): the `real` counter is flag-derived by construction; in the
-//     deployed protocol these are local share updates, and every slot is
-//     touched unconditionally (the branch selects an increment, not an
-//     address).
-//   - Comparators and compaction (ByColumnAt, ByColumn, SortedByIsView*,
-//     TightCompact*, SelectInto, Count*, RealRows): the fixed-topology
+//   - Buffer counter maintenance (SetReal, AppendFrom, AppendRange,
+//     Truncate, CutPrefix, ScanReal): the `real` counter is flag-derived by
+//     construction; in the deployed protocol these are local share updates,
+//     and every slot is touched unconditionally (the branch selects an
+//     increment, not an address).
+//   - Comparators, compaction and scans (ByColumnAt, SortedByIsViewBuffer,
+//     TightCompactInto, SelectInto, CountBuffer): the fixed-topology
 //     compare-exchange and scan primitives; their data-dependent swaps are
 //     exactly the part a circuit evaluates obliviously.
 //   - Truncated joins: the paper's core operators; window advance and
 //     contribution bookkeeping run inside MPC in deployment.
-//   - gmw.Circuit.AND / gmw.OpenWord: branch on OPENED d/e values, which
-//     are uniformly masked by Beaver-style blinding — simulatable, hence
-//     declared reveals.
 var OblivTaintSanctioned = []string{
 	"internal/oblivious.Buffer.SetReal",
-	"internal/oblivious.Buffer.Entries",
 	"internal/oblivious.Buffer.AppendFrom",
 	"internal/oblivious.Buffer.AppendRange",
-	"internal/oblivious.Buffer.AppendEntry",
 	"internal/oblivious.Buffer.Truncate",
 	"internal/oblivious.Buffer.CutPrefix",
 	"internal/oblivious.Buffer.ScanReal",
 	"internal/oblivious.ByColumnAt",
-	"internal/oblivious.ByColumn",
-	"internal/oblivious.SortedByIsView",
 	"internal/oblivious.SortedByIsViewBuffer",
-	"internal/oblivious.CountReal",
-	"internal/oblivious.RealRows",
-	"internal/oblivious.Count",
 	"internal/oblivious.CountBuffer",
-	"internal/oblivious.TightCompact",
 	"internal/oblivious.TightCompactInto",
 	"internal/oblivious.SelectInto",
 	"internal/oblivious.TruncatedSortMergeJoinInto",
 	"internal/oblivious.TruncatedNestedLoopJoinInto",
-	"internal/gmw.Circuit.AND",
-	"internal/gmw.OpenWord",
 }
 
 // oblivBufferSources are the oblivious.Buffer methods that read the

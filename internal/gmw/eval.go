@@ -26,7 +26,8 @@ const (
 // offline phase did not deal enough correlated randomness.
 var ErrNoTriples = errors.New("gmw: triple pool exhausted")
 
-// BitShare is one party's share of a secret bit (the local half of a Bit).
+// BitShare is one party's share of a secret bit; the XOR of both parties'
+// shares is the cleartext.
 type BitShare bool
 
 // WordShare is one party's share of a secret 32-bit word, little-endian.
@@ -37,19 +38,11 @@ type TripleShare struct {
 	A, B, C bool
 }
 
-// TripleShares draws one fresh triple and returns it split per party — the
-// dealing-side view of Triple.
-func (d *Dealer) TripleShares() (s0, s1 TripleShare) {
-	t := d.Triple()
-	return TripleShare{A: t.A.S0, B: t.B.S0, C: t.C.S0},
-		TripleShare{A: t.A.S1, B: t.B.S1, C: t.C.S1}
-}
-
-// Eval drives one party's half of GMW circuit evaluation over a transport.
-// It is the per-party, on-the-wire counterpart of Circuit: the same word
-// circuits (adder, comparator, mux) with the same AND-gate counts, but every
-// AND gate's masked openings really are exchanged as frames, and the offline
-// triples really are dealt as a message from the dealing side.
+// Eval drives one party's half of GMW circuit evaluation over a transport:
+// the word circuits (adder, comparator, mux) are built from XOR, NOT and
+// AND gates, every AND gate's masked openings really are exchanged as
+// frames, and the offline triples really are dealt as a message from the
+// dealing side.
 //
 // Methods after the first transport or pool error are no-ops propagating the
 // sticky error (Err), so word-level circuits compose without per-gate error
@@ -63,8 +56,9 @@ type Eval struct {
 	triples []TripleShare
 	next    int
 
-	// ANDGates / XORGates / BitsSent mirror Circuit's tallies; Openings is
-	// the public online transcript (identical on both parties).
+	// ANDGates / XORGates / BitsSent tally gates and online communication
+	// (bits across both directions); Openings is the public online
+	// transcript (identical on both parties).
 	ANDGates  int
 	XORGates  int
 	BitsSent  int
@@ -199,8 +193,8 @@ func (e *Eval) record(v bool) {
 //
 // The openings are masked by the uniform triple components, so the frames on
 // the wire reveal nothing about x and y (the uniformity test pins this). The
-// branches below read only the reconstructed public d and e — the same
-// declared-reveal pattern oblivtaint sanctions for Circuit.AND.
+// branches below read only the reconstructed public d and e, which are
+// uniformly masked and hence simulatable.
 func (e *Eval) AND(x, y BitShare) BitShare {
 	if e.err != nil {
 		return false
@@ -274,7 +268,9 @@ func (e *Eval) XORWords(x, y WordShare) WordShare {
 	return z
 }
 
-// Add is the 32-bit ripple-carry adder of Circuit.Add: 32 AND gates.
+// Add is a 32-bit ripple-carry adder: 32 full adders, each costing one AND
+// gate via the carry recurrence carry' = carry XOR ((x XOR carry) AND
+// (y XOR carry)).
 func (e *Eval) Add(x, y WordShare) WordShare {
 	var z WordShare
 	carry := e.constBit(false)
@@ -288,8 +284,9 @@ func (e *Eval) Add(x, y WordShare) WordShare {
 	return z
 }
 
-// LessThan compares two unsigned word shares: the shared bit x < y.
-// Borrow propagation, 96 AND gates — identical to Circuit.LessThan.
+// LessThan compares two unsigned word shares: the shared bit x < y, which
+// holds iff the subtraction x - y borrows. Borrow propagation, borrow' =
+// (NOT x AND y) OR (borrow AND NOT (x XOR y)) per bit: 96 AND gates.
 func (e *Eval) LessThan(x, y WordShare) BitShare {
 	borrow := e.constBit(false)
 	for i := 0; i < 32; i++ {
@@ -302,7 +299,7 @@ func (e *Eval) LessThan(x, y WordShare) BitShare {
 	return borrow
 }
 
-// Equal tests x == y: 32 AND gates.
+// Equal tests x == y, NOT(OR of all difference bits): 32 AND gates.
 func (e *Eval) Equal(x, y WordShare) BitShare {
 	diff := e.constBit(false)
 	for i := 0; i < 32; i++ {
@@ -311,7 +308,8 @@ func (e *Eval) Equal(x, y WordShare) BitShare {
 	return e.NOT(diff)
 }
 
-// MUXWords selects between two word shares with one shared selector bit.
+// MUXWords selects between two word shares with one shared selector bit —
+// the conditional-swap half used by oblivious compare-exchange.
 func (e *Eval) MUXWords(sel BitShare, x, y WordShare) WordShare {
 	var z WordShare
 	for i := range z {
@@ -321,7 +319,9 @@ func (e *Eval) MUXWords(sel BitShare, x, y WordShare) WordShare {
 }
 
 // CompareExchange is the sorting-network comparator over two secret words:
-// output (min, max). 160 AND gates, matching Circuit.CompareExchange.
+// output (min, max), 160 AND gates. This is the gate-level realization of
+// what oblivious.SortBuffer executes logically and what the cost model
+// charges per comparator.
 func (e *Eval) CompareExchange(x, y WordShare) (lo, hi WordShare) {
 	gt := e.LessThan(y, x)
 	lo = e.MUXWords(gt, x, y)
@@ -329,12 +329,15 @@ func (e *Eval) CompareExchange(x, y WordShare) (lo, hi WordShare) {
 	return lo, hi
 }
 
-// CounterUpdate is the Transform counter step as a wire circuit.
+// CounterUpdate is the Transform counter step (Alg. 1 lines 4-6) as a wire
+// circuit: the counter and the increment stay shared; the output is a fresh
+// sharing of counter + delta.
 func (e *Eval) CounterUpdate(counter, delta WordShare) WordShare {
 	return e.Add(counter, delta)
 }
 
-// ThresholdCheck is the sDPANT condition: the shared bit [count >= theta].
+// ThresholdCheck is the sDPANT condition (Alg. 3 line 7): the shared bit
+// [noisyCount >= noisyThreshold].
 func (e *Eval) ThresholdCheck(noisyCount, noisyThreshold WordShare) BitShare {
 	return e.NOT(e.LessThan(noisyCount, noisyThreshold))
 }
@@ -391,7 +394,7 @@ func (e *Eval) OpenWord(w WordShare) (uint32, error) {
 	return mine ^ binary.LittleEndian.Uint32(p), nil
 }
 
-// Stats summarizes the evaluation, format-compatible with Circuit.Stats.
+// Stats summarizes the evaluation.
 func (e *Eval) Stats() string {
 	return fmt.Sprintf("gmw.Eval{role=%d and=%d xor=%d bits=%d}", e.role, e.ANDGates, e.XORGates, e.BitsSent)
 }

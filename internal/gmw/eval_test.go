@@ -2,21 +2,30 @@ package gmw
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"incshrink/internal/wire"
 )
 
-// runPair evaluates one party program per role over a buffered loopback,
-// joining the role-1 goroutine before returning.
+// runPair evaluates one party program per role over a buffered loopback
+// with triples dealt by NewDealer(42), joining the role-1 goroutine before
+// returning.
 func runPair(t *testing.T, triples int, program func(e *Eval) []uint32) (out0, out1 []uint32, e0, e1 *Eval) {
+	t.Helper()
+	return runPairWith(t, 42, 0, triples, program)
+}
+
+// runPairWith is runPair with the dealer seed and each party's transcript
+// bound (recordLimit, 0 keeps everything) chosen by the caller.
+func runPairWith(t testing.TB, seed int64, recordLimit, triples int, program func(e *Eval) []uint32) (out0, out1 []uint32, e0, e1 *Eval) {
 	t.Helper()
 	c0, c1 := wire.Loopback(256)
 	defer c0.Close()
 	defer c1.Close()
-	e0 = NewEval(0, c0, 0)
-	e1 = NewEval(1, c1, 0)
+	e0 = NewEval(0, c0, recordLimit)
+	e1 = NewEval(1, c1, recordLimit)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -28,7 +37,7 @@ func runPair(t *testing.T, triples int, program func(e *Eval) []uint32) (out0, o
 		}
 		out1 = program(e1)
 	}()
-	if err := e0.DealTriples(NewDealer(42), triples); err != nil {
+	if err := e0.DealTriples(NewDealer(seed), triples); err != nil {
 		t.Fatalf("role 0 triples: %v", err)
 	}
 	out0 = program(e0)
@@ -46,28 +55,17 @@ func evalProgram(x, y uint32) func(e *Eval) []uint32 {
 	return func(e *Eval) []uint32 {
 		wx := ShareOfWord(e.Role(), x, 0xDEADBEEF)
 		wy := ShareOfWord(e.Role(), y, 0x1234ABCD)
-		var outs []uint32
-		open := func(w WordShare) {
-			v, err := e.OpenWord(w)
-			if err != nil {
-				return
-			}
-			outs = append(outs, v)
+		outs := []uint32{
+			open(e, e.Add(wx, wy)),
+			openBit(e, e.LessThan(wx, wy)),
+			openBit(e, e.Equal(wx, wy)),
 		}
-		openBit := func(b BitShare) {
-			var w WordShare
-			w[0] = b
-			open(w)
-		}
-		open(e.Add(wx, wy))
-		openBit(e.LessThan(wx, wy))
-		openBit(e.Equal(wx, wy))
 		lo, hi := e.CompareExchange(wx, wy)
-		open(lo)
-		open(hi)
-		open(e.CounterUpdate(wx, wy))
-		openBit(e.ThresholdCheck(wx, wy))
-		return outs
+		return append(outs,
+			open(e, lo),
+			open(e, hi),
+			open(e, e.CounterUpdate(wx, wy)),
+			openBit(e, e.ThresholdCheck(wx, wy)))
 	}
 }
 
@@ -75,49 +73,58 @@ func evalProgram(x, y uint32) func(e *Eval) []uint32 {
 // 96, Equal 32, CompareExchange 160, CounterUpdate 32, ThresholdCheck 96.
 const evalProgramTriples = 32 + 96 + 32 + 160 + 32 + 96
 
+// TestEvalMatchesCircuitOutputs checks every word circuit against its
+// cleartext function on edge words (0, 1, 2^31, 2^32-1, and equal pairs),
+// and pins each circuit's AND-gate count: the numbers the cost model's
+// cross-check relies on.
 func TestEvalMatchesCircuitOutputs(t *testing.T) {
-	cases := [][2]uint32{
-		{0, 0}, {1, 1}, {3, 7}, {7, 3}, {0xFFFFFFFF, 1}, {1 << 31, (1 << 31) - 1}, {123456, 123456},
+	edges := []uint32{0, 1, 1 << 31, 1<<32 - 1}
+	var cases [][2]uint32
+	for _, x := range edges {
+		for _, y := range edges {
+			cases = append(cases, [2]uint32{x, y}) // includes every equal pair
+		}
 	}
+	cases = append(cases, [2]uint32{3, 7}, [2]uint32{1 << 31, 1<<31 - 1}, [2]uint32{123456, 123456})
 	for _, tc := range cases {
 		x, y := tc[0], tc[1]
 		out0, out1, e0, e1 := runPair(t, evalProgramTriples, evalProgram(x, y))
-
-		// Reference outputs from the in-process Circuit over the same inputs.
-		d := NewDealer(7)
-		c := NewCircuit(d, 0)
-		cx, cy := c.ShareWord(x), c.ShareWord(y)
-		bit := func(b Bit) uint32 {
-			if b.Open() {
-				return 1
-			}
-			return 0
-		}
-		clo, chi := c.CompareExchange(cx, cy)
-		want := []uint32{
-			OpenWord(c.Add(cx, cy)),
-			bit(c.LessThan(cx, cy)),
-			bit(c.Equal(cx, cy)),
-			OpenWord(clo),
-			OpenWord(chi),
-			OpenWord(c.CounterUpdate(cx, cy)),
-			bit(c.ThresholdCheck(cx, cy)),
-		}
-		if len(out0) != len(want) {
-			t.Fatalf("x=%d y=%d: %d outputs, want %d", x, y, len(out0), len(want))
+		want := []uint32{x + y, b2u(x < y), b2u(x == y), min(x, y), max(x, y), x + y, b2u(x >= y)}
+		if len(out0) != len(want) || len(out1) != len(want) {
+			t.Fatalf("x=%d y=%d: %d/%d outputs, want %d", x, y, len(out0), len(out1), len(want))
 		}
 		for i := range want {
 			if out0[i] != want[i] || out1[i] != want[i] {
-				t.Errorf("x=%d y=%d output %d: role0=%d role1=%d circuit=%d", x, y, i, out0[i], out1[i], want[i])
+				t.Errorf("x=%d y=%d output %d: role0=%d role1=%d cleartext=%d", x, y, i, out0[i], out1[i], want[i])
 			}
 		}
-		// Gate counts match the in-process circuit exactly — the cost model's
-		// cross-check extends to the wire evaluator.
-		if e0.ANDGates != c.ANDGates || e1.ANDGates != c.ANDGates {
-			t.Errorf("AND gates: role0=%d role1=%d circuit=%d", e0.ANDGates, e1.ANDGates, c.ANDGates)
+		if e0.ANDGates != evalProgramTriples || e1.ANDGates != evalProgramTriples {
+			t.Errorf("AND gates: role0=%d role1=%d, want %d", e0.ANDGates, e1.ANDGates, evalProgramTriples)
 		}
 		if e0.TriplesLeft() != 0 {
 			t.Errorf("triple budget: %d left of %d", e0.TriplesLeft(), evalProgramTriples)
+		}
+	}
+
+	// Per-circuit AND-gate counts: Add, LessThan, Equal, CompareExchange.
+	var gates [2][]int
+	runPair(t, 32+96+32+160, func(e *Eval) []uint32 {
+		wx, wy := ShareOfWord(e.Role(), 5, 1), ShareOfWord(e.Role(), 9, 2)
+		for _, circuit := range []func(){
+			func() { e.Add(wx, wy) },
+			func() { e.LessThan(wx, wy) },
+			func() { e.Equal(wx, wy) },
+			func() { e.CompareExchange(wx, wy) },
+		} {
+			before := e.ANDGates
+			circuit()
+			gates[e.Role()] = append(gates[e.Role()], e.ANDGates-before)
+		}
+		return nil
+	})
+	for role, got := range gates {
+		if !slices.Equal(got, []int{32, 96, 32, 160}) {
+			t.Errorf("role %d AND gates per circuit = %v, want [32 96 32 160]", role, got)
 		}
 	}
 }
@@ -141,39 +148,9 @@ func TestEvalOpeningsIdenticalAcrossParties(t *testing.T) {
 // same inputs under different dealer randomness yield different openings
 // (the transcript depends on the masks, not the data).
 func TestEvalOpeningsMasked(t *testing.T) {
-	run := func(seed int64) []bool {
-		c0, c1 := wire.Loopback(256)
-		defer c0.Close()
-		defer c1.Close()
-		e0, e1 := NewEval(0, c0, 0), NewEval(1, c1, 0)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := e1.RecvTriples(); err != nil {
-				t.Error(err)
-				return
-			}
-			evalProgram(5, 9)(e1)
-		}()
-		if err := e0.DealTriples(NewDealer(seed), evalProgramTriples); err != nil {
-			t.Fatal(err)
-		}
-		evalProgram(5, 9)(e0)
-		wg.Wait()
-		return e0.Openings
-	}
-	a, b := run(1), run(2)
-	same := len(a) == len(b)
-	if same {
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	_, _, a, _ := runPairWith(t, 1, 0, evalProgramTriples, evalProgram(5, 9))
+	_, _, b, _ := runPairWith(t, 2, 0, evalProgramTriples, evalProgram(5, 9))
+	if slices.Equal(a.Openings, b.Openings) {
 		t.Fatal("openings identical under different triple randomness — transcript is not masked")
 	}
 }
@@ -182,28 +159,10 @@ func TestEvalOpeningsMasked(t *testing.T) {
 // 1-byte frame per party per AND gate (one round), one 4-byte frame per
 // reveal, one triple block frame in the offline phase.
 func TestEvalWireAccounting(t *testing.T) {
-	c0, c1 := wire.Loopback(256)
-	defer c0.Close()
-	defer c1.Close()
-	e0, e1 := NewEval(0, c0, 0), NewEval(1, c1, 0)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := e1.RecvTriples(); err != nil {
-			t.Error(err)
-			return
-		}
-		evalProgram(21, 13)(e1)
-	}()
-	if err := e0.DealTriples(NewDealer(3), evalProgramTriples); err != nil {
-		t.Fatal(err)
-	}
-	evalProgram(21, 13)(e0)
-	wg.Wait()
+	_, _, e0, _ := runPairWith(t, 3, 0, evalProgramTriples, evalProgram(21, 13))
 
 	const reveals = 7
-	st := c0.Stats()
+	st := e0.conn.Stats()
 	wantSent := uint64(wire.FrameOverhead+evalProgramTriples) + // triple block
 		uint64(e0.ANDGates)*(wire.FrameOverhead+1) +
 		reveals*(wire.FrameOverhead+4)

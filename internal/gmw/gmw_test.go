@@ -3,177 +3,254 @@ package gmw
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"incshrink/internal/mpc"
 )
 
-func ctx(seed int64) *Circuit { return NewCircuit(NewDealer(seed), 0) }
+// shareBit splits a cleartext bit against a public per-input mask, the bit
+// form of ShareOfWord (both parties pass the same mask).
+func shareBit(e *Eval, v bool, mask uint32) BitShare {
+	var x uint32
+	if v {
+		x = 1
+	}
+	return ShareOfWord(e.Role(), x, mask)[0]
+}
 
-func TestBitOpen(t *testing.T) {
-	c := ctx(1)
-	for _, v := range []bool{true, false} {
-		if c.ShareBit(v).Open() != v {
-			t.Fatalf("ShareBit(%v) round-trip failed", v)
+// shareWord splits a cleartext word against a mask derived from the input's
+// position, so distinct inputs get distinct shares.
+func shareWord(e *Eval, v uint32, pos int) WordShare {
+	return ShareOfWord(e.Role(), v, uint32(pos+1)*0x9E3779B9)
+}
+
+// open reveals a word; a failure is sticky and surfaces through runPair.
+func open(e *Eval, w WordShare) uint32 {
+	v, _ := e.OpenWord(w)
+	return v
+}
+
+// openBit reveals a shared bit as bit 0 of an otherwise zero word.
+func openBit(e *Eval, b BitShare) uint32 {
+	var w WordShare
+	w[0] = b
+	return open(e, w)
+}
+
+// checkOutputs requires both parties to have opened want.
+func checkOutputs(t *testing.T, out0, out1, want []uint32) {
+	t.Helper()
+	if len(out0) != len(want) || len(out1) != len(want) {
+		t.Fatalf("%d/%d outputs, want %d", len(out0), len(out1), len(want))
+	}
+	for i := range want {
+		if out0[i] != want[i] || out1[i] != want[i] {
+			t.Errorf("output %d: role0=%d role1=%d want %d", i, out0[i], out1[i], want[i])
 		}
 	}
 }
 
-func TestXORGate(t *testing.T) {
-	c := ctx(2)
-	for _, x := range []bool{false, true} {
-		for _, y := range []bool{false, true} {
-			if got := c.XOR(c.ShareBit(x), c.ShareBit(y)).Open(); got != (x != y) {
-				t.Errorf("XOR(%v,%v) = %v", x, y, got)
-			}
+// testPairs returns every pair of edge words plus seeded random pairs.
+func testPairs(seed int64) [][2]uint32 {
+	edges := []uint32{0, 1, 2, 1 << 31, 1<<31 - 1, 1<<32 - 2, 1<<32 - 1}
+	var pairs [][2]uint32
+	for _, x := range edges {
+		for _, y := range edges {
+			pairs = append(pairs, [2]uint32{x, y})
 		}
 	}
-	if c.ANDGates != 0 {
+	rng := rand.New(rand.NewSource(seed)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	for i := 0; i < 30; i++ {
+		pairs = append(pairs, [2]uint32{rng.Uint32(), rng.Uint32()})
+	}
+	return pairs
+}
+
+// checkWordCircuit runs circuit over testPairs and compares every opening
+// with the cleartext function. andPerCall is the circuit's AND-gate count.
+func checkWordCircuit(t *testing.T, seed int64, andPerCall int, circuit func(e *Eval, x, y WordShare) uint32, want func(x, y uint32) uint32) {
+	t.Helper()
+	pairs := testPairs(seed)
+	out0, out1, _, _ := runPair(t, andPerCall*len(pairs), func(e *Eval) []uint32 {
+		var outs []uint32
+		for i, p := range pairs {
+			outs = append(outs, circuit(e, shareWord(e, p[0], 2*i), shareWord(e, p[1], 2*i+1)))
+		}
+		return outs
+	})
+	wants := make([]uint32, len(pairs))
+	for i, p := range pairs {
+		wants[i] = want(p[0], p[1])
+	}
+	checkOutputs(t, out0, out1, wants)
+}
+
+func b2u(v bool) uint32 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func TestBitOpen(t *testing.T) {
+	out0, out1, _, _ := runPair(t, 0, func(e *Eval) []uint32 {
+		return []uint32{openBit(e, shareBit(e, true, 1)), openBit(e, shareBit(e, false, 1))}
+	})
+	checkOutputs(t, out0, out1, []uint32{1, 0})
+}
+
+func TestXORGate(t *testing.T) {
+	var want []uint32
+	for _, x := range []bool{false, true} {
+		for _, y := range []bool{false, true} {
+			want = append(want, b2u(x != y))
+		}
+	}
+	out0, out1, e0, e1 := runPair(t, 0, func(e *Eval) []uint32 {
+		var outs []uint32
+		for _, x := range []bool{false, true} {
+			for _, y := range []bool{false, true} {
+				outs = append(outs, openBit(e, e.XOR(shareBit(e, x, 0x5), shareBit(e, y, 0x3))))
+			}
+		}
+		return outs
+	})
+	checkOutputs(t, out0, out1, want)
+	if e0.ANDGates != 0 || e1.ANDGates != 0 {
 		t.Error("XOR consumed AND gates")
 	}
 }
 
 func TestANDGateTruthTable(t *testing.T) {
-	c := ctx(3)
+	const trials = 20 // fresh triples each time
+	var want []uint32
 	for _, x := range []bool{false, true} {
 		for _, y := range []bool{false, true} {
-			for trial := 0; trial < 20; trial++ { // fresh triples each time
-				if got := c.AND(c.ShareBit(x), c.ShareBit(y)).Open(); got != (x && y) {
-					t.Fatalf("AND(%v,%v) = %v", x, y, got)
-				}
+			for trial := 0; trial < trials; trial++ {
+				want = append(want, b2u(x && y))
 			}
 		}
 	}
+	out0, out1, _, _ := runPair(t, 4*trials, func(e *Eval) []uint32 {
+		var outs []uint32
+		for _, x := range []bool{false, true} {
+			for _, y := range []bool{false, true} {
+				for trial := 0; trial < trials; trial++ {
+					m := uint32(trial)
+					outs = append(outs, openBit(e, e.AND(shareBit(e, x, m), shareBit(e, y, m>>1))))
+				}
+			}
+		}
+		return outs
+	})
+	checkOutputs(t, out0, out1, want)
 }
 
 func TestNotOrMux(t *testing.T) {
-	c := ctx(4)
-	if c.NOT(c.ShareBit(true)).Open() || !c.NOT(c.ShareBit(false)).Open() {
-		t.Error("NOT wrong")
-	}
+	want := []uint32{0, 1}
 	for _, x := range []bool{false, true} {
 		for _, y := range []bool{false, true} {
-			if got := c.OR(c.ShareBit(x), c.ShareBit(y)).Open(); got != (x || y) {
-				t.Errorf("OR(%v,%v) = %v", x, y, got)
-			}
+			want = append(want, b2u(x || y))
 			for _, sel := range []bool{false, true} {
-				want := x
 				if sel {
-					want = y
-				}
-				if got := c.MUX(c.ShareBit(sel), c.ShareBit(x), c.ShareBit(y)).Open(); got != want {
-					t.Errorf("MUX(%v,%v,%v) = %v", sel, x, y, got)
+					want = append(want, b2u(y))
+				} else {
+					want = append(want, b2u(x))
 				}
 			}
 		}
 	}
+	out0, out1, _, _ := runPair(t, 4+8, func(e *Eval) []uint32 {
+		outs := []uint32{
+			openBit(e, e.NOT(shareBit(e, true, 1))),
+			openBit(e, e.NOT(shareBit(e, false, 1))),
+		}
+		for _, x := range []bool{false, true} {
+			for _, y := range []bool{false, true} {
+				outs = append(outs, openBit(e, e.OR(shareBit(e, x, 1), shareBit(e, y, 0))))
+				for _, sel := range []bool{false, true} {
+					outs = append(outs, openBit(e, e.MUX(shareBit(e, sel, 1), shareBit(e, x, 0), shareBit(e, y, 1))))
+				}
+			}
+		}
+		return outs
+	})
+	checkOutputs(t, out0, out1, want)
 }
 
 func TestWordRoundTrip(t *testing.T) {
-	c := ctx(5)
-	f := func(v uint32) bool { return OpenWord(c.ShareWord(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	checkWordCircuit(t, 5, 0,
+		func(e *Eval, x, _ WordShare) uint32 { return open(e, x) },
+		func(x, _ uint32) uint32 { return x })
 }
 
 func TestAdder(t *testing.T) {
-	c := ctx(6)
-	f := func(x, y uint32) bool {
-		return OpenWord(c.Add(c.ShareWord(x), c.ShareWord(y))) == x+y
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+	checkWordCircuit(t, 6, 32,
+		func(e *Eval, x, y WordShare) uint32 { return open(e, e.Add(x, y)) },
+		func(x, y uint32) uint32 { return x + y })
 }
 
 func TestAdderANDCost(t *testing.T) {
-	c := ctx(7)
-	c.Add(c.ShareWord(1), c.ShareWord(2))
-	if c.ANDGates != 32 {
-		t.Errorf("32-bit adder used %d AND gates, want 32", c.ANDGates)
+	_, _, e0, e1 := runPair(t, 32, func(e *Eval) []uint32 {
+		e.Add(shareWord(e, 1, 0), shareWord(e, 2, 1))
+		return nil
+	})
+	if e0.ANDGates != 32 || e1.ANDGates != 32 {
+		t.Errorf("32-bit adder used %d/%d AND gates, want 32", e0.ANDGates, e1.ANDGates)
 	}
 }
 
 func TestLessThan(t *testing.T) {
-	c := ctx(8)
-	f := func(x, y uint32) bool {
-		return c.LessThan(c.ShareWord(x), c.ShareWord(y)).Open() == (x < y)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-	// Edge cases.
-	for _, pair := range [][2]uint32{{0, 0}, {0, 1}, {1, 0}, {^uint32(0), ^uint32(0)}, {^uint32(0) - 1, ^uint32(0)}} {
-		if got := c.LessThan(c.ShareWord(pair[0]), c.ShareWord(pair[1])).Open(); got != (pair[0] < pair[1]) {
-			t.Errorf("LessThan(%d,%d) = %v", pair[0], pair[1], got)
-		}
-	}
+	checkWordCircuit(t, 8, 96,
+		func(e *Eval, x, y WordShare) uint32 { return openBit(e, e.LessThan(x, y)) },
+		func(x, y uint32) uint32 { return b2u(x < y) })
 }
 
 func TestEqual(t *testing.T) {
-	c := ctx(9)
-	f := func(x, y uint32) bool {
-		same := c.Equal(c.ShareWord(x), c.ShareWord(y)).Open()
-		return same == (x == y)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-	if !c.Equal(c.ShareWord(42), c.ShareWord(42)).Open() {
-		t.Error("Equal(42,42) false")
-	}
+	checkWordCircuit(t, 9, 32,
+		func(e *Eval, x, y WordShare) uint32 { return openBit(e, e.Equal(x, y)) },
+		func(x, y uint32) uint32 { return b2u(x == y) })
 }
 
 func TestXORWords(t *testing.T) {
-	c := ctx(10)
-	f := func(x, y uint32) bool {
-		return OpenWord(c.XORWords(c.ShareWord(x), c.ShareWord(y))) == x^y
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+	checkWordCircuit(t, 10, 0,
+		func(e *Eval, x, y WordShare) uint32 { return open(e, e.XORWords(x, y)) },
+		func(x, y uint32) uint32 { return x ^ y })
 }
 
 func TestMuxWordsAndCompareExchange(t *testing.T) {
-	c := ctx(11)
-	rng := rand.New(rand.NewSource(11)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	for trial := 0; trial < 50; trial++ {
-		x, y := rng.Uint32(), rng.Uint32()
-		lo, hi := c.CompareExchange(c.ShareWord(x), c.ShareWord(y))
-		wantLo, wantHi := x, y
-		if y < x {
-			wantLo, wantHi = y, x
-		}
-		if OpenWord(lo) != wantLo || OpenWord(hi) != wantHi {
-			t.Fatalf("CompareExchange(%d,%d) = (%d,%d)", x, y, OpenWord(lo), OpenWord(hi))
-		}
-	}
+	// MUXWords picks x on a shared 0 selector and y on a shared 1.
+	checkWordCircuit(t, 11, 32,
+		func(e *Eval, x, y WordShare) uint32 { return open(e, e.MUXWords(shareBit(e, false, 1), x, y)) },
+		func(x, _ uint32) uint32 { return x })
+	checkWordCircuit(t, 11, 32,
+		func(e *Eval, x, y WordShare) uint32 { return open(e, e.MUXWords(shareBit(e, true, 0), x, y)) },
+		func(_, y uint32) uint32 { return y })
+	// CompareExchange outputs (min, max).
+	checkWordCircuit(t, 12, 160,
+		func(e *Eval, x, y WordShare) uint32 { lo, _ := e.CompareExchange(x, y); return open(e, lo) },
+		func(x, y uint32) uint32 { return min(x, y) })
+	checkWordCircuit(t, 12, 160,
+		func(e *Eval, x, y WordShare) uint32 { _, hi := e.CompareExchange(x, y); return open(e, hi) },
+		func(x, y uint32) uint32 { return max(x, y) })
 }
 
 func TestCounterUpdateMatchesTransform(t *testing.T) {
 	// Alg. 1 lines 4-6 at the gate level: counter stays shared end to end.
-	c := ctx(12)
-	counter := c.ShareWord(100)
-	for _, delta := range []uint32{3, 0, 27, 1} {
-		counter = c.CounterUpdate(counter, c.ShareWord(delta))
-	}
-	if got := OpenWord(counter); got != 131 {
-		t.Errorf("counter = %d, want 131", got)
-	}
+	deltas := []uint32{3, 0, 27, 1}
+	out0, out1, _, _ := runPair(t, 32*len(deltas), func(e *Eval) []uint32 {
+		counter := shareWord(e, 100, 0)
+		for i, d := range deltas {
+			counter = e.CounterUpdate(counter, shareWord(e, d, i+1))
+		}
+		return []uint32{open(e, counter)}
+	})
+	checkOutputs(t, out0, out1, []uint32{131})
 }
 
 func TestThresholdCheck(t *testing.T) {
-	c := ctx(13)
-	cases := []struct {
-		count, theta uint32
-		want         bool
-	}{{30, 30, true}, {29, 30, false}, {31, 30, true}, {0, 0, true}}
-	for _, tc := range cases {
-		if got := c.ThresholdCheck(c.ShareWord(tc.count), c.ShareWord(tc.theta)).Open(); got != tc.want {
-			t.Errorf("ThresholdCheck(%d,%d) = %v want %v", tc.count, tc.theta, got, tc.want)
-		}
-	}
+	checkWordCircuit(t, 13, 96,
+		func(e *Eval, x, y WordShare) uint32 { return openBit(e, e.ThresholdCheck(x, y)) },
+		func(x, y uint32) uint32 { return b2u(x >= y) })
 }
 
 // TestOpeningsUniform: the online transcript of an AND gate (the masked
@@ -182,17 +259,20 @@ func TestThresholdCheck(t *testing.T) {
 func TestOpeningsUniform(t *testing.T) {
 	const n = 20000
 	for _, inputs := range [][2]bool{{false, false}, {true, true}} {
-		c := ctx(14)
+		_, _, e0, _ := runPair(t, n, func(e *Eval) []uint32 {
+			x, y := shareBit(e, inputs[0], 1), shareBit(e, inputs[1], 0)
+			for i := 0; i < n; i++ {
+				e.AND(x, y)
+			}
+			return nil
+		})
 		ones := 0
-		for i := 0; i < n; i++ {
-			c.AND(c.ShareBit(inputs[0]), c.ShareBit(inputs[1]))
-		}
-		for _, v := range c.Openings {
+		for _, v := range e0.Openings {
 			if v {
 				ones++
 			}
 		}
-		frac := float64(ones) / float64(len(c.Openings))
+		frac := float64(ones) / float64(len(e0.Openings))
 		if frac < 0.48 || frac > 0.52 {
 			t.Errorf("inputs %v: opening bias %v, want 0.5", inputs, frac)
 		}
@@ -204,9 +284,11 @@ func TestOpeningsUniform(t *testing.T) {
 // charges (ANDGatesPerCompareExchangeBit per payload bit), keeping the two
 // layers honest with each other.
 func TestCompareExchangeCostMatchesSimulator(t *testing.T) {
-	c := ctx(15)
-	c.CompareExchange(c.ShareWord(5), c.ShareWord(9))
-	perBit := float64(c.ANDGates) / 32
+	_, _, e0, _ := runPair(t, 160, func(e *Eval) []uint32 {
+		e.CompareExchange(shareWord(e, 5, 0), shareWord(e, 9, 1))
+		return nil
+	})
+	perBit := float64(e0.ANDGates) / 32
 	model := mpc.DefaultCostModel()
 	if perBit < model.ANDGatesPerCompareExchangeBit || perBit > 2*model.ANDGatesPerCompareExchangeBit {
 		t.Errorf("real comparator costs %.2f AND/bit; simulator charges %.2f — recalibrate",
@@ -215,40 +297,52 @@ func TestCompareExchangeCostMatchesSimulator(t *testing.T) {
 }
 
 func TestCommunicationAccounting(t *testing.T) {
-	c := ctx(16)
-	c.AND(c.ShareBit(true), c.ShareBit(false))
-	if c.BitsSent != 4 {
-		t.Errorf("one AND gate moved %d bits, want 4", c.BitsSent)
+	_, _, e0, e1 := runPair(t, 1, func(e *Eval) []uint32 {
+		e.AND(shareBit(e, true, 1), shareBit(e, false, 1))
+		return nil
+	})
+	if e0.BitsSent != 4 || e1.BitsSent != 4 {
+		t.Errorf("one AND gate moved %d/%d bits, want 4", e0.BitsSent, e1.BitsSent)
 	}
-	if c.Stats() == "" {
+	if e0.Stats() == "" {
 		t.Error("empty stats")
 	}
 }
 
 func TestRecordLimit(t *testing.T) {
-	c := NewCircuit(NewDealer(17), 3)
-	for i := 0; i < 10; i++ {
-		c.AND(c.ShareBit(true), c.ShareBit(true))
-	}
-	if len(c.Openings) != 3 {
-		t.Errorf("transcript kept %d openings, want limit 3", len(c.Openings))
+	_, _, e0, e1 := runPairWith(t, 17, 3, 10, func(e *Eval) []uint32 {
+		for i := 0; i < 10; i++ {
+			e.AND(shareBit(e, true, 1), shareBit(e, true, 0))
+		}
+		return nil
+	})
+	if len(e0.Openings) != 3 || len(e1.Openings) != 3 {
+		t.Errorf("transcript kept %d/%d openings, want limit 3", len(e0.Openings), len(e1.Openings))
 	}
 }
 
 func BenchmarkAND(b *testing.B) {
-	c := ctx(99)
-	x, y := c.ShareBit(true), c.ShareBit(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AND(x, y)
-	}
+	runPairWith(b, 99, 1, b.N, func(e *Eval) []uint32 {
+		x, y := shareBit(e, true, 1), shareBit(e, false, 0)
+		if e.Role() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			e.AND(x, y)
+		}
+		return nil
+	})
 }
 
 func BenchmarkCompareExchange32(b *testing.B) {
-	c := ctx(100)
-	x, y := c.ShareWord(123), c.ShareWord(456)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.CompareExchange(x, y)
-	}
+	runPairWith(b, 100, 1, 160*b.N, func(e *Eval) []uint32 {
+		x, y := shareWord(e, 123, 0), shareWord(e, 456, 1)
+		if e.Role() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			e.CompareExchange(x, y)
+		}
+		return nil
+	})
 }

@@ -7,20 +7,18 @@ import (
 	"incshrink/internal/table"
 )
 
-// Buffer is the columnar representation of a padded secure array: instead of
-// a slice of heap-allocated Entry structs, a buffer stores its slots as
-// parallel columns over one flat payload arena —
+// Buffer is the representation of a padded secure array: a buffer stores
+// its slots as parallel columns over one flat payload arena —
 //
 //	payload   table.Flat  n rows x arity attributes, one contiguous []int64
 //	flag      []bool      the isView bit per slot
 //	left/right []int64    source-record IDs per slot (-1 when dummy)
 //
 // plus an incrementally maintained count of real slots, so Real() is O(1)
-// on every read path. All oblivious operators (sort, compaction, the
-// truncated joins, select, count) have Buffer forms that are the hot path of
-// the engine; the Entry-based forms remain as thin adapters for tests and
-// ad-hoc use. Buffers come from a per-arity free list (GetBuffer/Release),
-// so steady-state operation allocates nothing.
+// on every read path. Every oblivious operator (sort, compaction, the
+// truncated joins, select, count) runs over buffers. Buffers come from a
+// per-arity free list (GetBuffer/Release), so steady-state operation
+// allocates nothing.
 type Buffer struct {
 	pay   table.Flat
 	flag  []bool
@@ -296,60 +294,6 @@ func (b *Buffer) Reset() {
 	b.real = 0
 }
 
-// Entry materializes slot i as an Entry (copying the payload). Diagnostic
-// and test use; the hot path never leaves the buffer.
-func (b *Buffer) Entry(i int) Entry {
-	return Entry{
-		Row:    b.Row(i).Clone(),
-		IsView: b.flag[i],
-		Left:   b.left[i],
-		Right:  b.right[i],
-	}
-}
-
-// Entries materializes every slot (diagnostic and test use).
-func (b *Buffer) Entries() []Entry {
-	if b.Len() == 0 {
-		return nil
-	}
-	out := make([]Entry, b.Len())
-	for i := range out {
-		out[i] = b.Entry(i)
-	}
-	return out
-}
-
-// AppendEntry appends a copy of an Entry-form slot.
-func (b *Buffer) AppendEntry(e Entry) {
-	b.pay.AppendRow(e.Row)
-	b.flag = append(b.flag, e.IsView)
-	b.left = append(b.left, e.Left)
-	b.right = append(b.right, e.Right)
-	if e.IsView {
-		b.real++
-	}
-}
-
-// AppendEntries appends copies of Entry-form slots.
-func (b *Buffer) AppendEntries(es []Entry) {
-	b.Grow(len(es))
-	for _, e := range es {
-		b.AppendEntry(e)
-	}
-}
-
-// BufferOf builds a buffer holding the given entries; arity is taken from
-// the first entry (0 when empty).
-func BufferOf(es []Entry) *Buffer {
-	arity := 0
-	if len(es) > 0 {
-		arity = len(es[0].Row)
-	}
-	b := GetBuffer(arity)
-	b.AppendEntries(es)
-	return b
-}
-
 // ScanReal recounts the real slots with a full scan. It exists to pin the
 // maintained counter in tests (counter == scan); production paths use the
 // O(1) Real.
@@ -365,14 +309,17 @@ func (b *Buffer) ScanReal() int {
 
 // LessAt orders buffer slots for the sorting network, comparing slots i and
 // j of b. Implementations must be strict weak orderings computable by a
-// constant-size circuit per comparison (the Buffer form of Less).
+// constant-size circuit per comparison.
 type LessAt func(b *Buffer, i, j int) bool
 
-// ByIsViewFirstAt is ByIsViewFirst over buffer slots: real before dummy.
+// ByIsViewFirstAt orders real slots before dummies — the key used by Shrink
+// so that a prefix cut of the sorted cache always fetches real data first
+// (Figure 3).
 func ByIsViewFirstAt(b *Buffer, i, j int) bool { return b.flag[i] && !b.flag[j] }
 
-// ByColumnAt is ByColumn over buffer slots: order on a payload column with
-// dummies last and a tag column as tie-break.
+// ByColumnAt orders slots on a payload column, dummies last; the sort-merge
+// join uses it to sort the unioned input on the join attribute. Ties are
+// broken by the tag column (T1 before T2) per Example 5.1.
 func ByColumnAt(col, tagCol int) LessAt {
 	return func(b *Buffer, i, j int) bool {
 		switch {
@@ -393,13 +340,13 @@ func ByColumnAt(col, tagCol int) LessAt {
 var permPool = sync.Pool{New: func() any { s := make([]int32, 0, 1024); return &s }}
 
 // SortBuffer runs Batcher's odd-even merge network over the buffer in place,
-// charging one compare-exchange per comparator under op, exactly like the
-// Entry form Sort (both share one enumeration of the network, so the access
-// pattern — and the resulting order — is identical). Instead of moving
-// arity-wide rows at every comparator, the network swaps entries of an index
-// permutation; the payload, flag and ID columns are gathered once at the
-// end. Steady state allocates nothing: the permutation and the gather
-// scratch come from pools.
+// charging one compare-exchange per comparator to meter under op. The
+// network layout depends only on Len; the comparator count equals
+// mpc.SortCompareExchanges(Len) exactly (verified in tests). tupleBits is
+// the secret payload width per slot. Instead of moving arity-wide rows at
+// every comparator, the network swaps entries of an index permutation; the
+// payload, flag and ID columns are gathered once at the end. Steady state
+// allocates nothing: the permutation and the gather scratch come from pools.
 func SortBuffer(b *Buffer, less LessAt, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := b.Len()
 	if n <= 1 {
@@ -461,11 +408,16 @@ func SortedByIsViewBuffer(b *Buffer) bool {
 	return true
 }
 
-// TightCompactInto is the Buffer form of TightCompact: obliviously pack the
-// real slots of src into dst up to cap slots (padding dst with dummies to
-// exactly cap), appending real slots beyond cap to overflow. dst and
-// overflow must have src's arity; both are appended to, not reset. Charged
-// as two linear passes at scan rate, like the Entry form.
+// TightCompactInto obliviously packs the real slots of src into dst up to
+// cap slots, padding dst with dummies to exactly cap. It models an
+// order-insensitive oblivious compaction network (linear passes of
+// bit-controlled moves rather than a full sort), so it is charged at scan
+// rate — two passes, mark+prefix-sum and controlled move. This is what lets
+// Transform tighten its exhaustively padded join output to the public
+// maximum-new-entries bound before caching without inflating its cost
+// profile. Real slots beyond cap (possible only if the caller's bound was
+// not a true upper bound) are appended to overflow rather than dropped. dst
+// and overflow must have src's arity; both are appended to, not reset.
 func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if cap < 0 {
 		cap = 0
@@ -491,9 +443,10 @@ func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Me
 	}
 }
 
-// SelectInto is the Buffer form of Select (Appendix A.1.1): append every
-// slot of src to dst with the isView bit anded with the predicate — same
-// length, full obliviousness. src is not modified.
+// SelectInto implements the oblivious selection of Appendix A.1.1: append
+// every slot of src to dst with the isView bit anded with the predicate —
+// same length, full obliviousness. Each input record contributes at most
+// once, so no truncation machinery is needed. src is not modified.
 func SelectInto(dst, src *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc.Op) {
 	if meter != nil {
 		meter.ChargeScan(op, src.Len(), 64*src.Arity())
@@ -507,9 +460,10 @@ func SelectInto(dst, src *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc
 	}
 }
 
-// CountBuffer is the Buffer form of Count: one oblivious scan accumulating
-// pred over real slots. The predicate sees each row as a zero-copy view
-// into the arena.
+// CountBuffer performs a secure aggregate count over a padded array: one
+// oblivious scan accumulating pred over real slots. This is the query
+// operator for the paper's Q1/Q2 once the view is materialized. The
+// predicate sees each row as a zero-copy view into the arena.
 func CountBuffer(b *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc.Op) int {
 	if meter != nil {
 		meter.ChargeScan(op, b.Len(), 64*b.Arity())

@@ -2,42 +2,24 @@ package oblivious
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"incshrink/internal/mpc"
 	"incshrink/internal/table"
 )
 
-func randBuffer(rng *rand.Rand, n int) (*Buffer, []Entry) {
-	es := randEntries(rng, n)
-	return BufferOf(es), es
-}
-
-func entriesEqual(t *testing.T, got, want []Entry) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if !g.Row.Equal(w.Row) || g.IsView != w.IsView || g.Left != w.Left || g.Right != w.Right {
-			t.Fatalf("slot %d: %+v, want %+v", i, g, w)
-		}
-	}
-}
-
 func TestBufferRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := randEntries(rng, 37)
-	es[3].Left, es[3].Right = 11, 22
-	b := BufferOf(es)
-	defer b.Release()
+	ss := randSlots(rng, 37)
+	ss[3].left, ss[3].right = 11, 22
+	b := bufferOf(2, ss)
 	if b.Len() != 37 || b.Arity() != 2 {
 		t.Fatalf("len=%d arity=%d", b.Len(), b.Arity())
 	}
-	entriesEqual(t, b.Entries(), es)
-	if b.Real() != CountReal(es) || b.Real() != b.ScanReal() {
-		t.Fatalf("real=%d scan=%d want %d", b.Real(), b.ScanReal(), CountReal(es))
+	slotsEqual(t, slotsOf(b), ss)
+	if b.Real() != countReal(ss) || b.Real() != b.ScanReal() {
+		t.Fatalf("real=%d scan=%d want %d", b.Real(), b.ScanReal(), countReal(ss))
 	}
 }
 
@@ -58,7 +40,7 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 		case 1:
 			b.AppendDummy()
 		case 2:
-			b.AppendEntry(Entry{Row: table.Row{7, 8}, IsView: rng.Intn(2) == 0, Left: -1, Right: -1})
+			b.AppendSlot(table.Row{7, 8}, rng.Intn(2) == 0, -1, -1)
 		case 3:
 			if b.Len() > 0 {
 				b.SetReal(rng.Intn(b.Len()), rng.Intn(2) == 0)
@@ -70,7 +52,6 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 		case 6:
 			other, _ := randBuffer(rng, rng.Intn(10))
 			b.AppendAll(other)
-			other.Release()
 		case 7:
 			SortBuffer(b, ByIsViewFirstAt, nil, mpc.OpOther, 64)
 		}
@@ -78,23 +59,9 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 	}
 }
 
-// TestSortBufferMatchesEntrySort: the columnar sort and the Entry sort share
-// one network enumeration; given the same input and ordering they must
-// produce the identical output order — the invariant behind the
-// byte-identical determinism guarantee of the representation change.
-func TestSortBufferMatchesEntrySort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	for trial := 0; trial < 40; trial++ {
-		n := rng.Intn(150)
-		es := randEntries(rng, n)
-		b := BufferOf(es)
-		Sort(es, ByColumn(0, 1), nil, mpc.OpOther, 64)
-		SortBuffer(b, ByColumnAt(0, 1), nil, mpc.OpOther, 64)
-		entriesEqual(t, b.Entries(), es)
-		b.Release()
-	}
-}
-
+// TestSortBufferChargesLikeEntrySort: a SortBuffer over a non-power-of-two
+// length charges the compare-exchanges of the padded network, as the former
+// row-form sort did, and a one-slot buffer charges nothing.
 func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 	rng := rand.New(rand.NewSource(4)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	b, _ := randBuffer(rng, 24)
@@ -116,52 +83,150 @@ func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 	}
 }
 
-func TestTightCompactIntoMatchesEntryForm(t *testing.T) {
+// TestSortBufferAgainstOracles checks SortBuffer against oracles that share
+// nothing with the network: the output is a permutation of the input (flags
+// and IDs included), it is non-decreasing under the ordering, and on inputs
+// with distinct (key, tag) it equals sort.SliceStable's order.
+func TestSortBufferAgainstOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	less := ByColumnAt(0, 1)
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(150)
+		ss := randSlots(rng, n)
+		for i := range ss {
+			// Distinct IDs make the permutation check see every slot.
+			ss[i].left, ss[i].right = int64(i), int64(-i)
+		}
+		if trial%2 == 1 {
+			// Repeated (key, tag) pairs: only the first two oracles apply.
+			for i := range ss {
+				ss[i].row[1] = int64(rng.Intn(2))
+			}
+		}
+		b := bufferOf(2, ss)
+		SortBuffer(b, less, nil, mpc.OpOther, 64)
+		got := slotsOf(b)
+
+		// 1. A permutation of the input.
+		if len(got) != len(ss) {
+			t.Fatalf("trial %d: length %d, want %d", trial, len(got), len(ss))
+		}
+		seen := make([]bool, n)
+		for _, g := range got {
+			if g.left < 0 || g.left >= int64(n) {
+				t.Fatalf("trial %d: output slot %+v carries an unknown ID", trial, g)
+			}
+			w := ss[g.left]
+			if seen[g.left] || !g.row.Equal(w.row) || g.real != w.real || g.right != w.right {
+				t.Fatalf("trial %d: output slot %+v is not an unused input slot", trial, g)
+			}
+			seen[g.left] = true
+		}
+
+		// 2. Non-decreasing under the ordering.
+		for i := 1; i < b.Len(); i++ {
+			if less(b, i, i-1) {
+				t.Fatalf("trial %d: slot %d orders before slot %d", trial, i, i-1)
+			}
+		}
+
+		// 3. On distinct (key, tag), the stable-sort order. Dummies all tie
+		// under the ordering and the network is not stable, so only the real
+		// prefix has a unique order; check 2 already put every dummy behind
+		// it.
+		if trial%2 == 0 {
+			want := append([]slot(nil), ss...)
+			sort.SliceStable(want, func(i, j int) bool {
+				a, c := want[i], want[j]
+				switch {
+				case a.real != c.real:
+					return a.real
+				case !a.real:
+					return false
+				case a.row[0] != c.row[0]:
+					return a.row[0] < c.row[0]
+				default:
+					return a.row[1] < c.row[1]
+				}
+			})
+			r := countReal(ss)
+			slotsEqual(t, got[:r], want[:r])
+		}
+	}
+}
+
+// TestTightCompactIntoMatchesFilterPad checks TightCompactInto against a
+// filter-and-pad oracle: the real slots in input order, the first cap of
+// them followed by dummy padding up to cap, the rest as overflow.
+func TestTightCompactIntoMatchesFilterPad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 30; trial++ {
-		es := randEntries(rng, 40)
+		src, ss := randBuffer(rng, 40)
 		cap := rng.Intn(50)
-		wantOut, wantOver := TightCompact(es, cap, nil, mpc.OpTransform, 64)
+		var wantOut, wantOver []slot
+		for _, s := range ss {
+			switch {
+			case !s.real:
+			case len(wantOut) < cap:
+				wantOut = append(wantOut, s)
+			default:
+				wantOver = append(wantOver, s)
+			}
+		}
+		for len(wantOut) < cap {
+			wantOut = append(wantOut, slot{row: table.Row{0, 0}, left: -1, right: -1})
+		}
 
-		src := BufferOf(es)
 		dst, over := GetBuffer(2), GetBuffer(2)
 		TightCompactInto(src, cap, dst, over, nil, mpc.OpTransform, 64)
-		entriesEqual(t, dst.Entries(), wantOut)
-		entriesEqual(t, over.Entries(), wantOver)
-		src.Release()
+		slotsEqual(t, slotsOf(dst), wantOut)
+		slotsEqual(t, slotsOf(over), wantOver)
 		dst.Release()
 		over.Release()
 	}
 }
 
-func TestSelectIntoMatchesEntryForm(t *testing.T) {
+// TestSelectIntoMatchesFilter checks SelectInto against a plain filter over
+// the slots: same length and payloads, isView anded with the predicate.
+func TestSelectIntoMatchesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := randEntries(rng, 25)
+	src, ss := randBuffer(rng, 25)
 	pred := func(r table.Row) bool { return r[0]%3 == 0 }
-	want := Select(es, pred, nil, mpc.OpQuery)
+	want := make([]slot, len(ss))
+	for i, s := range ss {
+		want[i] = s
+		want[i].real = s.real && pred(s.row)
+	}
 
-	src := BufferOf(es)
-	defer src.Release()
 	dst := GetBuffer(2)
 	defer dst.Release()
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	SelectInto(dst, src, pred, m, mpc.OpQuery)
-	entriesEqual(t, dst.Entries(), want)
-	entriesEqual(t, src.Entries(), es) // src must be unmodified
+	slotsEqual(t, slotsOf(dst), want)
+	slotsEqual(t, slotsOf(src), ss) // src must be unmodified
+	if dst.Real() != countReal(want) {
+		t.Errorf("real counter %d, want %d", dst.Real(), countReal(want))
+	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("selection charged nothing")
 	}
 }
 
-func TestCountBufferMatchesEntryForm(t *testing.T) {
+// TestCountBufferMatchesLoop checks CountBuffer against a plain loop over
+// the slots.
+func TestCountBufferMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := randEntries(rng, 33)
+	b, ss := randBuffer(rng, 33)
 	pred := func(r table.Row) bool { return r[0] < 40 }
-	b := BufferOf(es)
-	defer b.Release()
+	want := 0
+	for _, s := range ss {
+		if s.real && pred(s.row) {
+			want++
+		}
+	}
 	m := mpc.NewMeter(mpc.DefaultCostModel())
-	if got, want := CountBuffer(b, pred, m, mpc.OpQuery), Count(es, pred, nil, mpc.OpQuery); got != want {
-		t.Errorf("CountBuffer = %d, Count = %d", got, want)
+	if got := CountBuffer(b, pred, m, mpc.OpQuery); got != want {
+		t.Errorf("CountBuffer = %d, loop = %d", got, want)
 	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("count charged nothing")
@@ -200,7 +265,7 @@ func TestAppendJoinConcatenates(t *testing.T) {
 		t.Errorf("join row = %v", b.Row(0))
 	}
 	if b.LeftID(0) != 7 || b.RightID(0) != 9 || !b.IsReal(0) {
-		t.Errorf("join slot metadata wrong: %+v", b.Entry(0))
+		t.Errorf("join slot metadata wrong: %+v", slotsOf(b)[0])
 	}
 }
 
@@ -212,7 +277,6 @@ const maxSteadyAllocs = 8.0
 func TestSortBufferSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	b, _ := randBuffer(rng, 512)
-	defer b.Release()
 	avg := testing.AllocsPerRun(100, func() {
 		SortBuffer(b, ByIsViewFirstAt, nil, mpc.OpOther, 64)
 	})
@@ -245,7 +309,6 @@ func TestSMJIntoSteadyStateAllocs(t *testing.T) {
 func TestTightCompactIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	src, _ := randBuffer(rng, 256)
-	defer src.Release()
 	dst, over := GetBuffer(2), GetBuffer(2)
 	defer dst.Release()
 	defer over.Release()
@@ -262,7 +325,6 @@ func TestTightCompactIntoSteadyStateAllocs(t *testing.T) {
 func BenchmarkSortBuffer1K(b *testing.B) {
 	rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	base, _ := randBuffer(rng, 1024)
-	defer base.Release()
 	work := GetBuffer(2)
 	defer work.Release()
 	b.ReportAllocs()
@@ -296,7 +358,6 @@ func BenchmarkSMJInto128(b *testing.B) {
 func BenchmarkTightCompactInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(101)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	src, _ := randBuffer(rng, 512)
-	defer src.Release()
 	dst, over := GetBuffer(2), GetBuffer(2)
 	defer dst.Release()
 	defer over.Release()

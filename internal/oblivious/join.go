@@ -46,8 +46,8 @@ func putInts(p *[]int) {
 	intsPool.Put(p)
 }
 
-// TruncatedSortMergeJoin implements the b-truncated oblivious sort-merge
-// join of Example 5.1 with truncation bound `bound` (the omega of
+// TruncatedSortMergeJoinInto implements the b-truncated oblivious
+// sort-merge join of Example 5.1 with truncation bound `bound` (the omega of
 // trans_truncate when used inside Transform):
 //
 //  1. Union the two inputs, tagging T1 rows before T2 rows, and obliviously
@@ -61,23 +61,11 @@ func putInts(p *[]int) {
 // Every input record contributes at most `bound` entries across the whole
 // invocation (Eq. 3); exceeding joins are discarded, which is the source of
 // truncation error studied in Section 7.4. Output rows concatenate the T1
-// and T2 attributes.
-//
-// This Entry form adapts the columnar TruncatedSortMergeJoinInto, which is
-// the engine's hot path.
-func TruncatedSortMergeJoin(t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) []Entry {
-	dst := GetBuffer(recArity(t1) + recArity(t2))
-	defer dst.Release()
-	TruncatedSortMergeJoinInto(dst, t1, t2, key1, key2, match, bound, meter, op)
-	return dst.Entries()
-}
-
-// TruncatedSortMergeJoinInto is the columnar form of the b-truncated
-// oblivious sort-merge join: output slots are appended to dst, whose arity
-// must equal the concatenated record arities. All intermediates — the tagged
-// sorted union and the contribution counters — come from pools, and output
-// rows are written straight into dst's arena, so a warm call allocates
-// nothing beyond dst's own growth.
+// and T2 attributes and are appended to dst, whose arity must equal the
+// concatenated record arities. All intermediates — the tagged sorted union
+// and the contribution counters — come from pools, and output rows are
+// written straight into dst's arena, so a warm call allocates nothing beyond
+// dst's own growth.
 func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	if bound < 1 {
 		bound = 1
@@ -162,22 +150,13 @@ func recArity(rs []Record) int {
 	return len(rs[0].Row)
 }
 
-// TruncatedNestedLoopJoin implements Algorithm 4: for each outer tuple, scan
-// the whole inner relation, emit a join entry when both tuples still have
-// contribution budget and the keys (and match predicate) agree, then
+// TruncatedNestedLoopJoinInto implements Algorithm 4: for each outer tuple,
+// scan the whole inner relation, emit a join entry when both tuples still
+// have contribution budget and the keys (and match predicate) agree, then
 // obliviously sort the per-outer intermediate array and keep its first
-// `bound` slots. The output length is exactly bound*len(t1). This Entry form
-// adapts the columnar TruncatedNestedLoopJoinInto.
-func TruncatedNestedLoopJoin(t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) []Entry {
-	dst := GetBuffer(recArity(t1) + recArity(t2))
-	defer dst.Release()
-	TruncatedNestedLoopJoinInto(dst, t1, t2, key1, key2, match, bound, meter, op)
-	return dst.Entries()
-}
-
-// TruncatedNestedLoopJoinInto is the columnar form of Algorithm 4; output
-// slots are appended to dst, whose arity must equal the concatenated record
-// arities. The per-outer intermediate array is a single pooled buffer reused
+// `bound` slots. The output length is exactly bound*len(t1). Output slots
+// are appended to dst, whose arity must equal the concatenated record
+// arities; the per-outer intermediate array is a single pooled buffer reused
 // across outer tuples.
 func TruncatedNestedLoopJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	if bound < 1 {
@@ -226,46 +205,4 @@ func TruncatedNestedLoopJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, m
 			}
 		}
 	}
-}
-
-// Select implements the oblivious selection of Appendix A.1.1: the output is
-// the input array itself (same length — full obliviousness), with the isView
-// bit set only for real entries satisfying the predicate. Each input record
-// contributes at most once, so no truncation machinery is needed. The
-// columnar form is SelectInto.
-func Select(es []Entry, pred table.Predicate, meter *mpc.Meter, op mpc.Op) []Entry {
-	out := make([]Entry, len(es))
-	bits := 0
-	if len(es) > 0 {
-		bits = es[0].Row.Bits()
-	}
-	if meter != nil {
-		meter.ChargeScan(op, len(es), bits)
-	}
-	for i, e := range es {
-		out[i] = e
-		out[i].IsView = e.IsView && pred(e.Row)
-	}
-	return out
-}
-
-// Count performs a secure aggregate count over a padded array: a single
-// oblivious scan accumulating pred over real entries. This is the query
-// operator used for the paper's Q1/Q2 once the view is materialized. The
-// columnar form is CountBuffer.
-func Count(es []Entry, pred table.Predicate, meter *mpc.Meter, op mpc.Op) int {
-	bits := 0
-	if len(es) > 0 {
-		bits = es[0].Row.Bits()
-	}
-	if meter != nil {
-		meter.ChargeScan(op, len(es), bits)
-	}
-	n := 0
-	for _, e := range es {
-		if e.IsView && pred(e.Row) {
-			n++
-		}
-	}
-	return n
 }

@@ -11,23 +11,94 @@ import (
 
 func newMeter() *mpc.Meter { return mpc.NewMeter(mpc.DefaultCostModel()) }
 
-func randEntries(rng *rand.Rand, n int) []Entry {
-	es := make([]Entry, n)
-	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(rng.Intn(100)), int64(i)}, IsView: rng.Intn(2) == 0}
-	}
-	return es
+// slot is one buffer slot in the clear, for building inputs and writing
+// assertions.
+type slot struct {
+	row         table.Row
+	real        bool
+	left, right int64
 }
+
+// bufferOf builds an unpooled buffer of the given arity holding ss.
+func bufferOf(arity int, ss []slot) *Buffer {
+	b := NewBuffer(arity, len(ss))
+	for _, s := range ss {
+		b.AppendSlot(s.row, s.real, s.left, s.right)
+	}
+	return b
+}
+
+// slotsOf copies every slot of b out of the arena.
+func slotsOf(b *Buffer) []slot {
+	ss := make([]slot, b.Len())
+	for i := range ss {
+		ss[i] = slot{row: b.Row(i).Clone(), real: b.IsReal(i), left: b.LeftID(i), right: b.RightID(i)}
+	}
+	return ss
+}
+
+func slotsEqual(t *testing.T, got, want []slot) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("length %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if !g.row.Equal(w.row) || g.real != w.real || g.left != w.left || g.right != w.right {
+			t.Fatalf("slot %d: %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+func countReal(ss []slot) int {
+	n := 0
+	for _, s := range ss {
+		if s.real {
+			n++
+		}
+	}
+	return n
+}
+
+func realRowsOf(ss []slot) []table.Row {
+	var out []table.Row
+	for _, s := range ss {
+		if s.real {
+			out = append(out, s.row)
+		}
+	}
+	return out
+}
+
+// realRows extracts the rows of b's real slots.
+func realRows(b *Buffer) []table.Row { return realRowsOf(slotsOf(b)) }
+
+// randSlots draws n arity-2 slots (key in [0,100), position as tag) with a
+// fair coin for the isView bit.
+func randSlots(rng *rand.Rand, n int) []slot {
+	ss := make([]slot, n)
+	for i := range ss {
+		ss[i] = slot{row: table.Row{int64(rng.Intn(100)), int64(i)}, real: rng.Intn(2) == 0}
+	}
+	return ss
+}
+
+func randBuffer(rng *rand.Rand, n int) (*Buffer, []slot) {
+	ss := randSlots(rng, n)
+	return bufferOf(2, ss), ss
+}
+
+// byKey orders slots on column 0 alone, ignoring the isView bit.
+func byKey(b *Buffer, i, j int) bool { return b.At(i, 0) < b.At(j, 0) }
 
 func TestSortCorrectnessAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	less := func(a, b Entry) bool { return a.Row[0] < b.Row[0] }
 	for n := 0; n <= 65; n++ {
-		es := randEntries(rng, n)
-		Sort(es, less, nil, mpc.OpOther, 64)
-		for i := 1; i < len(es); i++ {
-			if es[i].Row[0] < es[i-1].Row[0] {
-				t.Fatalf("n=%d: not sorted at %d: %v > %v", n, i, es[i-1].Row[0], es[i].Row[0])
+		b, _ := randBuffer(rng, n)
+		SortBuffer(b, byKey, nil, mpc.OpOther, 64)
+		for i := 1; i < b.Len(); i++ {
+			if b.At(i, 0) < b.At(i-1, 0) {
+				t.Fatalf("n=%d: not sorted at %d: %v > %v", n, i, b.At(i-1, 0), b.At(i, 0))
 			}
 		}
 	}
@@ -37,16 +108,16 @@ func TestSortMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(200)
-		es := randEntries(rng, n)
+		b, ss := randBuffer(rng, n)
 		want := make([]int64, n)
-		for i, e := range es {
-			want[i] = e.Row[0]
+		for i, s := range ss {
+			want[i] = s.row[0]
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		Sort(es, func(a, b Entry) bool { return a.Row[0] < b.Row[0] }, nil, mpc.OpOther, 64)
-		for i := range es {
-			if es[i].Row[0] != want[i] {
-				t.Fatalf("trial %d: position %d = %d want %d", trial, i, es[i].Row[0], want[i])
+		SortBuffer(b, byKey, nil, mpc.OpOther, 64)
+		for i := range want {
+			if b.At(i, 0) != want[i] {
+				t.Fatalf("trial %d: position %d = %d want %d", trial, i, b.At(i, 0), want[i])
 			}
 		}
 	}
@@ -60,9 +131,9 @@ func TestSortDataIndependence(t *testing.T) {
 	for _, n := range []int{5, 16, 33, 100} {
 		counts := make(map[int]bool)
 		for trial := 0; trial < 10; trial++ {
-			es := randEntries(rng, n)
+			b, _ := randBuffer(rng, n)
 			calls := 0
-			Sort(es, func(a, b Entry) bool { calls++; return a.Row[0] < b.Row[0] }, nil, mpc.OpOther, 64)
+			SortBuffer(b, func(b *Buffer, i, j int) bool { calls++; return byKey(b, i, j) }, nil, mpc.OpOther, 64)
 			counts[calls] = true
 		}
 		if len(counts) != 1 {
@@ -71,17 +142,23 @@ func TestSortDataIndependence(t *testing.T) {
 	}
 }
 
+// TestSortChargesPaddedNetwork: a sort charges exactly one compare-exchange
+// per comparator of the padded network, at the given payload width.
 func TestSortChargesPaddedNetwork(t *testing.T) {
+	rng := rand.New(rand.NewSource(4)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	m := newMeter()
-	es := randEntries(rand.New(rand.NewSource(4)), 8) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	Sort(es, ByIsViewFirst, m, mpc.OpShrink, 128)
+	b, _ := randBuffer(rng, 8)
+	SortBuffer(b, ByIsViewFirstAt, m, mpc.OpShrink, 128)
 	want := float64(mpc.SortCompareExchanges(8)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
 	if got := m.Gates(mpc.OpShrink); got != want {
 		t.Errorf("charged %v gates, want %v", got, want)
 	}
 	// Tiny inputs charge nothing.
 	m.Reset()
-	Sort(es[:1], ByIsViewFirst, m, mpc.OpShrink, 128)
+	one := GetBuffer(2)
+	defer one.Release()
+	one.AppendDummy()
+	SortBuffer(one, ByIsViewFirstAt, m, mpc.OpShrink, 128)
 	if m.TotalGates() != 0 {
 		t.Error("n=1 sort should be free")
 	}
@@ -90,58 +167,71 @@ func TestSortChargesPaddedNetwork(t *testing.T) {
 func TestByIsViewFirstOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 20; trial++ {
-		es := randEntries(rng, 50)
-		real := CountReal(es)
-		Sort(es, ByIsViewFirst, nil, mpc.OpOther, 64)
-		if !SortedByIsView(es) {
+		b, ss := randBuffer(rng, 50)
+		SortBuffer(b, ByIsViewFirstAt, nil, mpc.OpOther, 64)
+		if !SortedByIsViewBuffer(b) {
 			t.Fatal("reals not all ahead of dummies")
 		}
-		if CountReal(es) != real {
-			t.Fatal("sort changed the number of real entries")
+		if b.Real() != countReal(ss) || b.ScanReal() != countReal(ss) {
+			t.Fatal("sort changed the number of real slots")
 		}
 	}
+}
+
+// cutPrefix sorts b real-first and moves its first keep slots into a new
+// buffer — the sort-then-cut read of Figure 3 that securearray.Cache.Read
+// performs on the cache arena.
+func cutPrefix(b *Buffer, keep int) *Buffer {
+	SortBuffer(b, ByIsViewFirstAt, nil, mpc.OpShrink, 64)
+	fetched := NewBuffer(b.Arity(), keep)
+	fetched.AppendRange(b, 0, keep)
+	b.CutPrefix(keep)
+	return fetched
 }
 
 func TestCompactFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := randEntries(rng, 40)
-	real := CountReal(es)
-	fetched, rest := Compact(es, real, newMeter(), mpc.OpShrink, 64)
-	if len(fetched) != real || CountReal(fetched) != real {
-		t.Errorf("fetched %d entries with %d real, want all %d real", len(fetched), CountReal(fetched), real)
+	b, ss := randBuffer(rng, 40)
+	real := countReal(ss)
+	fetched := cutPrefix(b, real)
+	if fetched.Len() != real || fetched.Real() != real {
+		t.Errorf("fetched %d slots with %d real, want all %d real", fetched.Len(), fetched.Real(), real)
 	}
-	if CountReal(rest) != 0 {
-		t.Errorf("rest still holds %d real entries", CountReal(rest))
+	if b.Real() != 0 {
+		t.Errorf("rest still holds %d real slots", b.Real())
 	}
-	if len(fetched)+len(rest) != 40 {
-		t.Error("compact lost entries")
+	if fetched.Len()+b.Len() != 40 {
+		t.Error("compaction lost slots")
 	}
 }
 
+// TestCompactClamping: the prune-style compaction (sort real-first, then
+// Truncate to keep) clamps keep to [0, Len].
 func TestCompactClamping(t *testing.T) {
-	es := randEntries(rand.New(rand.NewSource(7)), 10) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	fetched, rest := Compact(es, -5, nil, mpc.OpOther, 64)
-	if len(fetched) != 0 || len(rest) != 10 {
-		t.Error("negative keep should clamp to 0")
+	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	b, ss := randBuffer(rng, 10)
+	SortBuffer(b, ByIsViewFirstAt, nil, mpc.OpShrink, 64)
+	if lost := b.Truncate(99); lost != 0 || b.Len() != 10 {
+		t.Errorf("oversized keep: lost=%d len=%d, want 0 and 10", lost, b.Len())
 	}
-	fetched, rest = Compact(es, 99, nil, mpc.OpOther, 64)
-	if len(fetched) != 10 || len(rest) != 0 {
-		t.Error("oversized keep should clamp to len")
+	if lost := b.Truncate(-5); lost != countReal(ss) || b.Len() != 0 || b.Real() != 0 {
+		t.Errorf("negative keep: lost=%d len=%d real=%d, want %d, 0, 0", lost, b.Len(), b.Real(), countReal(ss))
 	}
 }
 
 func TestCompactPartialFetchKeepsRealPriority(t *testing.T) {
 	// Fewer slots than real entries: everything fetched must be real.
-	es := make([]Entry, 20)
-	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(i)}, IsView: i%2 == 0} // 10 real
+	ss := make([]slot, 20)
+	for i := range ss {
+		ss[i] = slot{row: table.Row{int64(i)}, real: i%2 == 0} // 10 real
 	}
-	fetched, rest := Compact(es, 4, nil, mpc.OpOther, 64)
-	if CountReal(fetched) != 4 {
-		t.Errorf("fetched %d real, want 4", CountReal(fetched))
+	b := bufferOf(1, ss)
+	fetched := cutPrefix(b, 4)
+	if fetched.Real() != 4 {
+		t.Errorf("fetched %d real, want 4", fetched.Real())
 	}
-	if CountReal(rest) != 6 {
-		t.Errorf("rest has %d real, want 6", CountReal(rest))
+	if b.Real() != 6 {
+		t.Errorf("rest has %d real, want 6", b.Real())
 	}
 }
 
@@ -154,6 +244,20 @@ func mkRecordsBase(rows []table.Row, base int64) []Record {
 }
 
 func mkRecords(rows []table.Row) []Record { return mkRecordsBase(rows, 1000) }
+
+// smj runs the truncated sort-merge join into a fresh buffer.
+func smj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) *Buffer {
+	dst := NewBuffer(recArity(t1)+recArity(t2), 0)
+	TruncatedSortMergeJoinInto(dst, t1, t2, 0, 0, match, bound, meter, mpc.OpTransform)
+	return dst
+}
+
+// nlj runs the truncated nested-loop join into a fresh buffer.
+func nlj(t1, t2 []Record, bound int) *Buffer {
+	dst := NewBuffer(recArity(t1)+recArity(t2), 0)
+	TruncatedNestedLoopJoinInto(dst, t1, t2, 0, 0, nil, bound, nil, mpc.OpTransform)
+	return dst
+}
 
 func TestSMJMatchesHashJoinWithLargeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(8)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
@@ -168,12 +272,12 @@ func TestSMJMatchesHashJoinWithLargeBound(t *testing.T) {
 			rows2[i] = table.Row{int64(rng.Intn(8)), int64(100 + i)}
 		}
 		want := table.HashJoin(rows1, rows2, 0, 0)
-		got := TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 1000, nil, mpc.OpTransform)
-		if len(got) != 1000*(n1+n2) {
-			t.Fatalf("padded output size %d, want %d", len(got), 1000*(n1+n2))
+		got := smj(mkRecords(rows1), mkRecords(rows2), nil, 1000, nil)
+		if got.Len() != 1000*(n1+n2) {
+			t.Fatalf("padded output size %d, want %d", got.Len(), 1000*(n1+n2))
 		}
-		if !table.MultisetEqual(RealRows(got), want) {
-			t.Fatalf("trial %d: SMJ real rows differ from hash join (%d vs %d)", trial, len(RealRows(got)), len(want))
+		if !table.MultisetEqual(realRows(got), want) {
+			t.Fatalf("trial %d: SMJ real rows differ from hash join (%d vs %d)", trial, got.Real(), len(want))
 		}
 	}
 }
@@ -188,13 +292,13 @@ func TestSMJOutputSizeDataIndependent(t *testing.T) {
 		none[i] = table.Row{int64(i + 50), 0} // nothing joins
 	}
 	right := []table.Row{{1, 7}}
-	a := TruncatedSortMergeJoin(mkRecords(all), mkRecords(right), 0, 0, nil, 3, nil, mpc.OpTransform)
-	b := TruncatedSortMergeJoin(mkRecords(none), mkRecords(right), 0, 0, nil, 3, nil, mpc.OpTransform)
-	if len(a) != len(b) {
-		t.Errorf("output sizes %d vs %d differ with join selectivity", len(a), len(b))
+	a := smj(mkRecords(all), mkRecords(right), nil, 3, nil)
+	b := smj(mkRecords(none), mkRecords(right), nil, 3, nil)
+	if a.Len() != b.Len() {
+		t.Errorf("output sizes %d vs %d differ with join selectivity", a.Len(), b.Len())
 	}
-	if len(a) != 3*11 {
-		t.Errorf("output size %d, want %d", len(a), 3*11)
+	if a.Len() != 3*11 {
+		t.Errorf("output size %d, want %d", a.Len(), 3*11)
 	}
 }
 
@@ -207,10 +311,9 @@ func TestSMJTruncationBoundsContribution(t *testing.T) {
 	for i := range right {
 		right[i] = table.Row{5, int64(i)}
 	}
-	got := TruncatedSortMergeJoin(mkRecords(left), mkRecords(right), 0, 0, nil, 4, nil, mpc.OpTransform)
-	real := RealRows(got)
-	if len(real) != 4 {
-		t.Errorf("hot record produced %d entries, want truncation to 4", len(real))
+	got := smj(mkRecords(left), mkRecords(right), nil, 4, nil)
+	if got.Real() != 4 {
+		t.Errorf("hot record produced %d entries, want truncation to 4", got.Real())
 	}
 }
 
@@ -224,12 +327,12 @@ func TestSMJPerRecordContributionNeverExceedsBound(t *testing.T) {
 			rows1[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 			rows2[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 		}
-		got := TruncatedSortMergeJoin(mkRecordsBase(rows1, 1000), mkRecordsBase(rows2, 2000), 0, 0, nil, bound, nil, mpc.OpTransform)
+		got := smj(mkRecordsBase(rows1, 1000), mkRecordsBase(rows2, 2000), nil, bound, nil)
 		perRecord := make(map[int64]int)
-		for _, e := range got {
-			if e.IsView {
-				perRecord[e.Left]++
-				perRecord[e.Right]++
+		for _, s := range slotsOf(got) {
+			if s.real {
+				perRecord[s.left]++
+				perRecord[s.right]++
 			}
 		}
 		for id, c := range perRecord {
@@ -251,12 +354,12 @@ func TestSMJStability(t *testing.T) {
 		rows1[i] = table.Row{int64(rng.Intn(3)), int64(i)}
 		rows2[i] = table.Row{int64(rng.Intn(3)), int64(i)}
 	}
-	full := len(RealRows(TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, bound, nil, mpc.OpTransform)))
+	full := smj(mkRecords(rows1), mkRecords(rows2), nil, bound, nil).Real()
 	for drop := 0; drop < len(rows2); drop++ {
 		reduced := make([]table.Row, 0, len(rows2)-1)
 		reduced = append(reduced, rows2[:drop]...)
 		reduced = append(reduced, rows2[drop+1:]...)
-		n := len(RealRows(TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(reduced), 0, 0, nil, bound, nil, mpc.OpTransform)))
+		n := smj(mkRecords(rows1), mkRecords(reduced), nil, bound, nil).Real()
 		diff := full - n
 		if diff < -bound || diff > bound {
 			t.Fatalf("dropping record %d changed output by %d > bound %d", drop, diff, bound)
@@ -269,7 +372,7 @@ func TestSMJMatchPredicate(t *testing.T) {
 	sales := []table.Row{{1, 100}, {2, 100}}
 	rets := []table.Row{{1, 105}, {2, 150}}
 	within10 := func(l, r Record) bool { d := r.Row[1] - l.Row[1]; return d >= 0 && d <= 10 }
-	got := RealRows(TruncatedSortMergeJoin(mkRecords(sales), mkRecords(rets), 0, 0, within10, 5, nil, mpc.OpTransform))
+	got := realRows(smj(mkRecords(sales), mkRecords(rets), within10, 5, nil))
 	if len(got) != 1 {
 		t.Fatalf("temporal join produced %d rows, want 1", len(got))
 	}
@@ -279,16 +382,16 @@ func TestSMJMatchPredicate(t *testing.T) {
 }
 
 func TestSMJBoundClamped(t *testing.T) {
-	got := TruncatedSortMergeJoin(mkRecords([]table.Row{{1, 0}}), mkRecords([]table.Row{{1, 0}}), 0, 0, nil, 0, nil, mpc.OpTransform)
-	if len(got) != 2 { // bound clamps to 1, output = 1*(1+1)
-		t.Errorf("output size %d with clamped bound, want 2", len(got))
+	got := smj(mkRecords([]table.Row{{1, 0}}), mkRecords([]table.Row{{1, 0}}), nil, 0, nil)
+	if got.Len() != 2 { // bound clamps to 1, output = 1*(1+1)
+		t.Errorf("output size %d with clamped bound, want 2", got.Len())
 	}
 }
 
 func TestSMJChargesCosts(t *testing.T) {
 	m := newMeter()
 	rows := []table.Row{{1, 0}, {2, 0}, {3, 0}}
-	TruncatedSortMergeJoin(mkRecords(rows), mkRecords(rows), 0, 0, nil, 2, m, mpc.OpTransform)
+	smj(mkRecords(rows), mkRecords(rows), nil, 2, m)
 	if m.Gates(mpc.OpTransform) <= 0 {
 		t.Error("SMJ charged no gates")
 	}
@@ -304,12 +407,12 @@ func TestNLJMatchesHashJoin(t *testing.T) {
 			rows2[i] = table.Row{int64(rng.Intn(5)), int64(i)}
 		}
 		want := table.HashJoin(rows1, rows2, 0, 0)
-		got := TruncatedNestedLoopJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 1000, nil, mpc.OpTransform)
-		if !table.MultisetEqual(RealRows(got), want) {
+		got := nlj(mkRecords(rows1), mkRecords(rows2), 1000)
+		if !table.MultisetEqual(realRows(got), want) {
 			t.Fatalf("trial %d: NLJ differs from hash join", trial)
 		}
-		if len(got) != 1000*len(rows1) {
-			t.Fatalf("NLJ output size %d, want %d", len(got), 1000*len(rows1))
+		if got.Len() != 1000*len(rows1) {
+			t.Fatalf("NLJ output size %d, want %d", got.Len(), 1000*len(rows1))
 		}
 	}
 }
@@ -322,12 +425,12 @@ func TestNLJBudgetConsumption(t *testing.T) {
 	for i := range right {
 		right[i] = table.Row{5, int64(i)}
 	}
-	got := TruncatedNestedLoopJoin(mkRecords(left), mkRecords(right), 0, 0, nil, 3, nil, mpc.OpTransform)
-	if real := len(RealRows(got)); real != 3 {
-		t.Errorf("budget-3 outer produced %d joins", real)
+	got := nlj(mkRecords(left), mkRecords(right), 3)
+	if got.Real() != 3 {
+		t.Errorf("budget-3 outer produced %d joins", got.Real())
 	}
-	if len(got) != 3 {
-		t.Errorf("output size %d, want bound*|T1| = 3", len(got))
+	if got.Len() != 3 {
+		t.Errorf("output size %d, want bound*|T1| = 3", got.Len())
 	}
 }
 
@@ -341,83 +444,66 @@ func TestNLJAgainstSMJ(t *testing.T) {
 	}
 	// With a bound at least the max multiplicity both joins are untruncated
 	// and must agree with each other.
-	a := RealRows(TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 100, nil, mpc.OpTransform))
-	b := RealRows(TruncatedNestedLoopJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 100, nil, mpc.OpTransform))
+	a := realRows(smj(mkRecords(rows1), mkRecords(rows2), nil, 100, nil))
+	b := realRows(nlj(mkRecords(rows1), mkRecords(rows2), 100))
 	if !table.MultisetEqual(a, b) {
 		t.Error("SMJ and NLJ disagree at large bound")
 	}
 }
 
 func TestSelect(t *testing.T) {
-	es := []Entry{
-		{Row: table.Row{1}, IsView: true},
-		{Row: table.Row{2}, IsView: true},
-		{Row: table.Row{3}, IsView: false},
-	}
+	src := bufferOf(1, []slot{
+		{row: table.Row{1}, real: true},
+		{row: table.Row{2}, real: true},
+		{row: table.Row{3}, real: false},
+	})
+	dst := NewBuffer(1, 0)
 	m := newMeter()
-	out := Select(es, func(r table.Row) bool { return r[0]%2 == 1 }, m, mpc.OpQuery)
-	if len(out) != 3 {
-		t.Fatalf("selection changed array length to %d", len(out))
+	SelectInto(dst, src, func(r table.Row) bool { return r[0]%2 == 1 }, m, mpc.OpQuery)
+	if dst.Len() != 3 {
+		t.Fatalf("selection changed array length to %d", dst.Len())
 	}
-	if !out[0].IsView || out[1].IsView || out[2].IsView {
-		t.Errorf("isView bits wrong: %v %v %v", out[0].IsView, out[1].IsView, out[2].IsView)
+	if !dst.IsReal(0) || dst.IsReal(1) || dst.IsReal(2) {
+		t.Errorf("isView bits wrong: %v %v %v", dst.IsReal(0), dst.IsReal(1), dst.IsReal(2))
+	}
+	if dst.Real() != 1 {
+		t.Errorf("real counter %d, want 1", dst.Real())
 	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("selection charged nothing")
 	}
 	// Input must be unmodified.
-	if !es[1].IsView {
-		t.Error("Select mutated its input")
+	if !src.IsReal(1) {
+		t.Error("SelectInto mutated its input")
 	}
 }
 
 func TestCount(t *testing.T) {
-	es := []Entry{
-		{Row: table.Row{1}, IsView: true},
-		{Row: table.Row{1}, IsView: false}, // dummy never counts
-		{Row: table.Row{2}, IsView: true},
-	}
+	b := bufferOf(1, []slot{
+		{row: table.Row{1}, real: true},
+		{row: table.Row{1}, real: false}, // dummy never counts
+		{row: table.Row{2}, real: true},
+	})
 	m := newMeter()
-	if got := Count(es, func(r table.Row) bool { return r[0] == 1 }, m, mpc.OpQuery); got != 1 {
-		t.Errorf("Count = %d want 1", got)
+	if got := CountBuffer(b, func(r table.Row) bool { return r[0] == 1 }, m, mpc.OpQuery); got != 1 {
+		t.Errorf("CountBuffer = %d want 1", got)
 	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("count charged nothing")
 	}
-	if Count(nil, func(table.Row) bool { return true }, nil, mpc.OpQuery) != 0 {
+	if CountBuffer(NewBuffer(1, 0), func(table.Row) bool { return true }, nil, mpc.OpQuery) != 0 {
 		t.Error("empty count wrong")
 	}
 }
 
 func TestDummyShape(t *testing.T) {
-	d := Dummy(4)
-	if d.IsView || len(d.Row) != 4 || d.Left != -1 || d.Right != -1 {
-		t.Errorf("Dummy(4) = %+v", d)
+	b := NewBuffer(4, 1)
+	b.AppendDummy()
+	d := slotsOf(b)[0]
+	if d.real || !d.row.Equal(table.Row{0, 0, 0, 0}) || d.left != -1 || d.right != -1 {
+		t.Errorf("dummy slot = %+v", d)
 	}
-}
-
-func BenchmarkSort1K(b *testing.B) {
-	rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	base := randEntries(rng, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		es := make([]Entry, len(base))
-		copy(es, base)
-		Sort(es, ByIsViewFirst, nil, mpc.OpOther, 64)
-	}
-}
-
-func BenchmarkSMJ128(b *testing.B) {
-	rng := rand.New(rand.NewSource(100)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	rows1 := make([]table.Row, 128)
-	rows2 := make([]table.Row, 128)
-	for i := range rows1 {
-		rows1[i] = table.Row{int64(rng.Intn(32)), int64(i)}
-		rows2[i] = table.Row{int64(rng.Intn(32)), int64(i)}
-	}
-	r1, r2 := mkRecords(rows1), mkRecords(rows2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = TruncatedSortMergeJoin(r1, r2, 0, 0, nil, 4, nil, mpc.OpTransform)
+	if b.Real() != 0 {
+		t.Errorf("dummy counted as real")
 	}
 }

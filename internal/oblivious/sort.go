@@ -5,6 +5,11 @@
 // join of Example 5.1, and the truncated oblivious nested-loop join of
 // Algorithm 4.
 //
+// Every operator works on one representation of a padded secure array: the
+// columnar Buffer (buffer.go). This file holds the sorting network itself —
+// its enumeration, the per-length comparator cache, and the layer-parallel
+// executor — which SortBuffer and the joins drive.
+//
 // Obliviousness here means the sequence of memory touches and
 // compare-exchange positions depends only on input *sizes*, never on
 // values. The simulator executes the operators over plaintext (the secrets
@@ -17,112 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"incshrink/internal/mpc"
 	"incshrink/internal/runner"
-	"incshrink/internal/table"
 )
-
-// Entry is one slot of a secure array: a (notionally secret-shared) view
-// tuple or dummy. IsView is the isView bit of Algorithm 1; Left and Right
-// record the IDs of the source records that generated a join entry (used by
-// the contribution-budget bookkeeping; -1 when not applicable or dummy).
-type Entry struct {
-	Row    table.Row
-	IsView bool
-	Left   int64
-	Right  int64
-}
-
-// Dummy returns a dummy entry of the given arity. Dummy payloads are zeroed;
-// in the deployed system they are indistinguishable random shares.
-func Dummy(arity int) Entry {
-	return Entry{Row: make(table.Row, arity), IsView: false, Left: -1, Right: -1}
-}
-
-// CountReal returns the number of real (IsView) entries.
-func CountReal(es []Entry) int {
-	n := 0
-	for _, e := range es {
-		if e.IsView {
-			n++
-		}
-	}
-	return n
-}
-
-// RealRows extracts the rows of the real entries.
-func RealRows(es []Entry) []table.Row {
-	var out []table.Row
-	for _, e := range es {
-		if e.IsView {
-			out = append(out, e.Row)
-		}
-	}
-	return out
-}
-
-// Less orders entries for the sorting network. Implementations must be a
-// strict weak ordering computable by a constant-size circuit per comparison.
-type Less func(a, b Entry) bool
-
-// ByIsViewFirst orders real entries before dummies — the key used by Shrink
-// so that a prefix cut of the sorted cache always fetches real data first
-// (Figure 3).
-func ByIsViewFirst(a, b Entry) bool { return a.IsView && !b.IsView }
-
-// ByColumn returns an ordering on a row column, dummies last; used by the
-// sort-merge join to sort the unioned input on the join attribute. Ties are
-// broken by the tag column (T1 before T2) per Example 5.1.
-func ByColumn(col, tagCol int) Less {
-	return func(a, b Entry) bool {
-		switch {
-		case a.IsView != b.IsView:
-			return a.IsView // dummies sink to the tail
-		case !a.IsView:
-			return false
-		case a.Row[col] != b.Row[col]:
-			return a.Row[col] < b.Row[col]
-		default:
-			return a.Row[tagCol] < b.Row[tagCol]
-		}
-	}
-}
-
-// Sort runs Batcher's odd-even merge sorting network over es in place,
-// charging one compare-exchange per comparator to meter under op. The
-// network layout depends only on len(es); the comparator count equals
-// mpc.SortCompareExchanges(len(es)) exactly (verified in tests). tupleBits
-// is the secret payload width per element.
-//
-// Sort and the columnar SortBuffer share one enumeration of the network
-// (batcherNetwork), so the two representations produce identical orders and
-// identical access patterns.
-func Sort(es []Entry, less Less, meter *mpc.Meter, op mpc.Op, tupleBits int) {
-	n := len(es)
-	if n <= 1 {
-		return
-	}
-	if meter != nil {
-		meter.ChargeSort(op, n, tupleBits)
-	}
-	// Two closure literals, one per branch: the serial executor never leaks
-	// its parameter, so the hot path's closure stays on the stack; the
-	// parallel executor necessarily heap-allocates it (goroutines capture
-	// it), which is noise against a network this large.
-	if parallelEligible(n) {
-		forEachComparatorParallel(n, func(i, j int) {
-			if less(es[j], es[i]) {
-				es[i], es[j] = es[j], es[i]
-			}
-		})
-		return
-	}
-	forEachComparator(n, func(i, j int) {
-		if less(es[j], es[i]) {
-			es[i], es[j] = es[j], es[i]
-		}
-	})
-}
 
 // sortNetwork is one memoized enumeration of Batcher's network: the
 // comparator pairs flattened as (i0,j0,i1,j1,...) plus the end offset (into
@@ -406,73 +307,4 @@ func batcherNetworkLayered(n int, cmpSwap func(i, j int), layerEnd func()) {
 			}
 		}
 	}
-}
-
-// SortedByIsView reports whether all real entries precede all dummies.
-func SortedByIsView(es []Entry) bool {
-	seenDummy := false
-	for _, e := range es {
-		if !e.IsView {
-			seenDummy = true
-		} else if seenDummy {
-			return false
-		}
-	}
-	return true
-}
-
-// TightCompact obliviously packs the real entries of es into an output array
-// of exactly cap slots, padding with dummies. It models an order-insensitive
-// oblivious compaction network (linear passes of bit-controlled moves rather
-// than a full sort), so it is charged at scan rate — this is what lets
-// Transform tighten its exhaustively padded join output to the public
-// maximum-new-entries bound before caching without inflating its cost
-// profile. Real entries beyond cap (possible only if the caller's bound was
-// not a true upper bound) are returned in overflow rather than dropped.
-func TightCompact(es []Entry, cap int, meter *mpc.Meter, op mpc.Op, tupleBits int) (out, overflow []Entry) {
-	if cap < 0 {
-		cap = 0
-	}
-	if meter != nil {
-		// Two linear passes: mark+prefix-sum and controlled move.
-		meter.ChargeScan(op, 2*len(es), tupleBits)
-	}
-	arity := 0
-	if len(es) > 0 {
-		arity = len(es[0].Row)
-	}
-	out = make([]Entry, 0, cap)
-	for _, e := range es {
-		if !e.IsView {
-			continue
-		}
-		if len(out) < cap {
-			out = append(out, e)
-		} else {
-			overflow = append(overflow, e)
-		}
-	}
-	for len(out) < cap {
-		out = append(out, Dummy(arity))
-	}
-	return out, overflow
-}
-
-// Compact obliviously moves the real entries of es to the head (sorting by
-// the isView bit) and returns the prefix of length keep as the fetched
-// output and the remainder as the surviving array — the cache read operation
-// of Figure 3. keep is clamped to [0, len(es)].
-func Compact(es []Entry, keep int, meter *mpc.Meter, op mpc.Op, tupleBits int) (fetched, rest []Entry) {
-	Sort(es, ByIsViewFirst, meter, op, tupleBits)
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > len(es) {
-		keep = len(es)
-	}
-	fetched = make([]Entry, keep)
-	copy(fetched, es[:keep])
-	rest = make([]Entry, len(es)-keep)
-	copy(rest, es[keep:])
-	return fetched, rest
 }

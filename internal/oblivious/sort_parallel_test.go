@@ -122,17 +122,18 @@ func TestLayersAreDisjoint(t *testing.T) {
 	}
 }
 
-func sortedAtWorkers(t *testing.T, workers, n int, seed int64) []Entry {
+func sortedAtWorkers(t *testing.T, workers, n int, seed int64) []slot {
 	t.Helper()
 	SetSortWorkers(workers)
 	defer SetSortWorkers(1)
 	rng := rand.New(rand.NewSource(seed)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := make([]Entry, n)
-	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(rng.Intn(50)), int64(i)}, IsView: rng.Intn(2) == 0}
+	ss := make([]slot, n)
+	for i := range ss {
+		ss[i] = slot{row: table.Row{int64(rng.Intn(50)), int64(i)}, real: rng.Intn(2) == 0, left: int64(i)}
 	}
-	Sort(es, func(a, b Entry) bool { return a.Row[0] < b.Row[0] }, nil, mpc.OpOther, 64)
-	return es
+	b := bufferOf(2, ss)
+	SortBuffer(b, byKey, nil, mpc.OpOther, 64)
+	return slotsOf(b)
 }
 
 // TestSortWorkersDeterminism: the sorted output must be byte-identical at

@@ -1,6 +1,7 @@
 // Package query implements the view-based query answering layer of KI-1:
-// logical counting queries over the join are rewritten as queries over the
-// materialized view and executed with a single oblivious scan. A query is a
+// logical counting queries over the join are rewritten as predicates over
+// the materialized view, which the engine answers with a single oblivious
+// scan (core.Framework.QueryWhere over oblivious.CountBuffer). A query is a
 // conjunction of comparisons over named columns; the rewriter resolves the
 // names against the view schema and reports queries the view cannot answer
 // (columns the view definition did not materialize).
@@ -9,8 +10,6 @@ package query
 import (
 	"fmt"
 
-	"incshrink/internal/mpc"
-	"incshrink/internal/oblivious"
 	"incshrink/internal/table"
 )
 
@@ -104,8 +103,8 @@ func (q Count) String() string {
 	return s
 }
 
-// Compiled is a query rewritten against a concrete view schema, ready to
-// execute over view slots or oracle rows.
+// Compiled is a query rewritten against a concrete view schema: a row
+// predicate over view slots, plus the plaintext oracle over join rows.
 type Compiled struct {
 	query Count
 	preds []compiledCond
@@ -155,22 +154,6 @@ func (c *Compiled) Predicate() table.Predicate {
 		}
 		return true
 	}
-}
-
-// Execute answers the query over the padded view slots with one oblivious
-// scan, charging the meter under OpQuery.
-func (c *Compiled) Execute(view []oblivious.Entry, meter *mpc.Meter) int {
-	return oblivious.Count(view, c.Predicate(), meter, mpc.OpQuery)
-}
-
-// ExecuteBuffer answers the query over a columnar view arena with one
-// oblivious scan — the Buffer-form counterpart of Execute for callers that
-// hold a view arena directly (the engine's own query path routes the same
-// compiled predicate through core.Framework.QueryWhere, which additionally
-// tracks per-engine query metrics). The predicate evaluates against
-// zero-copy row views into the arena.
-func (c *Compiled) ExecuteBuffer(view *oblivious.Buffer, meter *mpc.Meter) int {
-	return oblivious.CountBuffer(view, c.Predicate(), meter, mpc.OpQuery)
 }
 
 // Oracle answers the query over plaintext logical join rows — the ground

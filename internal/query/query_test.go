@@ -11,17 +11,24 @@ import (
 
 var viewSchema = table.MustSchema("view", "left.key", "left.time", "right.key", "right.time")
 
-func entries(rows ...table.Row) []oblivious.Entry {
-	out := make([]oblivious.Entry, 0, len(rows)+3)
+// view builds a padded view arena holding rows as real slots.
+func view(rows ...table.Row) *oblivious.Buffer {
+	b := oblivious.NewBuffer(4, len(rows)+3)
 	for _, r := range rows {
-		out = append(out, oblivious.Entry{Row: r, IsView: true})
+		b.AppendRow(r, -1, -1)
 	}
 	// Pad with dummies that would match any naive predicate if the dummy
 	// bit were ignored.
 	for i := 0; i < 3; i++ {
-		out = append(out, oblivious.Dummy(4))
+		b.AppendDummy()
 	}
-	return out
+	return b
+}
+
+// scan answers the compiled query over a view arena the way the engine does
+// (core.Framework.QueryWhere): one oblivious count with its predicate.
+func scan(c *Compiled, v *oblivious.Buffer, meter *mpc.Meter) int {
+	return oblivious.CountBuffer(v, c.Predicate(), meter, mpc.OpQuery)
 }
 
 func TestOpEvalAndString(t *testing.T) {
@@ -74,9 +81,9 @@ func TestRewriteRejectsUnknownColumns(t *testing.T) {
 	}
 }
 
-func TestExecuteCountsOnlyMatchingReals(t *testing.T) {
+func TestPredicateCountsOnlyMatchingReals(t *testing.T) {
 	// Rows: {lkey, ltime, rkey, rtime}.
-	es := entries(
+	v := view(
 		table.Row{1, 100, 1, 105}, // within 10
 		table.Row{2, 100, 2, 115}, // outside
 		table.Row{3, 200, 3, 200}, // within
@@ -87,43 +94,32 @@ func TestExecuteCountsOnlyMatchingReals(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mpc.NewMeter(mpc.DefaultCostModel())
-	if got := c.Execute(es, m); got != 2 {
-		t.Errorf("Execute = %d, want 2", got)
+	if got := scan(c, v, m); got != 2 {
+		t.Errorf("count = %d, want 2", got)
 	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("execution charged no gates")
-	}
-	// The Buffer form must agree with the Entry form and charge the meter
-	// identically.
-	buf := oblivious.BufferOf(es)
-	defer buf.Release()
-	m2 := mpc.NewMeter(mpc.DefaultCostModel())
-	if got := c.ExecuteBuffer(buf, m2); got != 2 {
-		t.Errorf("ExecuteBuffer = %d, want 2", got)
-	}
-	if m2.Gates(mpc.OpQuery) != m.Gates(mpc.OpQuery) {
-		t.Errorf("ExecuteBuffer charged %v gates, Execute charged %v", m2.Gates(mpc.OpQuery), m.Gates(mpc.OpQuery))
 	}
 }
 
 func TestDummySlotsNeverCount(t *testing.T) {
 	// A predicate every dummy row (all zeros) satisfies must still exclude
 	// dummies via the isView bit.
-	es := entries(table.Row{1, 1, 1, 1})
+	v := view(table.Row{1, 1, 1, 1})
 	q := Count{Conds: []Cond{{Col: "left.key", Op: GE, Val: 0}}}
 	c, _ := Rewrite(q, viewSchema)
-	if got := c.Execute(es, nil); got != 1 {
+	if got := scan(c, v, nil); got != 1 {
 		t.Errorf("count = %d, dummies leaked into the answer", got)
 	}
 }
 
 func TestEmptyConjunctionCountsAll(t *testing.T) {
-	es := entries(table.Row{1, 1, 1, 1}, table.Row{2, 2, 2, 2})
+	v := view(table.Row{1, 1, 1, 1}, table.Row{2, 2, 2, 2})
 	c, err := Rewrite(Count{}, viewSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Execute(es, nil); got != 2 {
+	if got := scan(c, v, nil); got != 2 {
 		t.Errorf("unconditional count = %d", got)
 	}
 	if !strings.Contains(c.Query().String(), "SELECT COUNT(*)") {
@@ -131,7 +127,7 @@ func TestEmptyConjunctionCountsAll(t *testing.T) {
 	}
 }
 
-func TestOracleMatchesExecute(t *testing.T) {
+func TestOracleMatchesViewScan(t *testing.T) {
 	rows := []table.Row{
 		{1, 100, 1, 104},
 		{2, 100, 2, 111},
@@ -147,9 +143,9 @@ func TestOracleMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Oracle(rows)
-	got := c.Execute(entries(rows...), nil)
+	got := scan(c, view(rows...), nil)
 	if got != want {
-		t.Errorf("Execute = %d, Oracle = %d", got, want)
+		t.Errorf("view scan = %d, Oracle = %d", got, want)
 	}
 	if want != 2 { // rows 1 and 3 (row 4 excluded by key)
 		t.Errorf("oracle = %d, want 2", want)

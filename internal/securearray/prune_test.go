@@ -3,8 +3,6 @@ package securearray
 import (
 	"math/rand"
 	"testing"
-
-	"incshrink/internal/table"
 )
 
 func TestReadAndPruneSegments(t *testing.T) {
@@ -12,7 +10,7 @@ func TestReadAndPruneSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
 	v := NewView(2)
-	c.AppendEntries(batch(rng, 30, 12))
+	c.Append(batch(rng, 30, 12))
 	lost := c.ReadAndPruneInto(v, 5, 4, 10)
 	if v.Len() != 9 {
 		t.Fatalf("fetched %d slots, want 5+4", v.Len())
@@ -38,7 +36,7 @@ func TestReadAndPruneLosesTailReal(t *testing.T) {
 	// 15-2-3-5 = 5 are real.
 	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 20, 15))
+	c.Append(batch(rng, 20, 15))
 	lost := c.ReadAndPruneInto(NewView(2), 2, 3, 5)
 	if lost != 5 {
 		t.Errorf("lost = %d, want 5", lost)
@@ -52,7 +50,7 @@ func TestReadAndPruneClamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
 	v := NewView(2)
-	c.AppendEntries(batch(rng, 10, 4))
+	c.Append(batch(rng, 10, 4))
 	// Oversized spill clamps to remaining; negative values clamp to 0.
 	lost := c.ReadAndPruneInto(v, 3, 100, -5)
 	if v.Len() != 10 {
@@ -63,7 +61,7 @@ func TestReadAndPruneClamps(t *testing.T) {
 	}
 	// Keep larger than remainder keeps all without a flush.
 	c2 := newCache(128, nil)
-	c2.AppendEntries(batch(rng, 10, 4))
+	c2.Append(batch(rng, 10, 4))
 	lost = c2.ReadAndPruneInto(NewView(2), 2, 1, 100)
 	if lost != 0 || c2.Len() != 7 {
 		t.Errorf("lost=%d cacheLen=%d, want 0 and 7", lost, c2.Len())
@@ -82,7 +80,7 @@ func TestReadAndPruneConservesReal(t *testing.T) {
 		c := newCache(128, nil)
 		v := NewView(2)
 		b := batch(rng, n, real)
-		c.AppendEntries(b)
+		c.Append(b)
 		lost := c.ReadAndPruneInto(v, rng.Intn(n+2), rng.Intn(10), rng.Intn(20))
 		got := v.Real() + c.Real() + lost
 		if got != real {
@@ -96,15 +94,15 @@ func TestDrainInto(t *testing.T) {
 	c := newCache(128, nil)
 	v := NewView(2)
 	b := batch(rng, 12, 5)
-	c.AppendEntries(b)
+	c.Append(b)
 	c.DrainInto(v)
 	if v.Len() != 12 || c.Len() != 0 {
 		t.Errorf("drain moved %d, cache %d", v.Len(), c.Len())
 	}
 	// Drain preserves order (no sort).
-	out := v.Entries()
-	for i := range out {
-		if !table.Row(out[i].Row).Equal(b[i].Row) {
+	out := v.Buffer()
+	for i := 0; i < out.Len(); i++ {
+		if !out.Row(i).Equal(b.Row(i)) || out.IsReal(i) != b.IsReal(i) {
 			t.Fatalf("drain reordered slot %d", i)
 		}
 	}
@@ -113,7 +111,7 @@ func TestDrainInto(t *testing.T) {
 func TestPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 20, 6))
+	c.Append(batch(rng, 20, 6))
 	lost := c.Prune(10)
 	if lost != 0 {
 		t.Errorf("prune above real count lost %d", lost)
