@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test lint race bench bench-core bench-smoke bench-batch bench-serve bench-diff obs-smoke recover-smoke wire-smoke fuzz-smoke serve
+.PHONY: check fmt vet build test lint race bench bench-core bench-smoke bench-batch bench-serve bench-diff obs-smoke recover-smoke wire-smoke fuzz-smoke serve loc
 
 # check is what CI runs: formatting, static checks, build, tests, the
 # observability smoke (boot the production wiring, scrape /metrics, assert
@@ -144,6 +144,14 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeRuntime -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
+
+# loc reports the non-test Go line change of the working tree against a base
+# commit — the net figure every CHANGES.md entry carries. Usage:
+# make loc BASE=<ref>
+loc:
+	@if [ -z "$(BASE)" ]; then echo "usage: make loc BASE=<ref>"; exit 2; fi
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!**/testdata/**' | \
+		awk '{a += $$1; d += $$2} END {printf "non-test Go lines vs %s: +%d -%d net %+d\n", "$(BASE)", a, d, a - d}'
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a
 # curl-able session). Add DATA=./incshrink-data for a durable server.

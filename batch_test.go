@@ -27,58 +27,76 @@ func batchOpts(p Protocol) Options {
 // AdvanceBatch(s1..sk) must leave the database in a state byte-identical to
 // k sequential Advance calls — counts, stats, and the full durability
 // snapshot (cache and view arenas, budgets, RNG draw positions, cost meter)
-// — for batch sizes 1, 7 and 120 under both DP engines.
+// — for batch sizes 1, 7 and 120 under both DP engines. The public-right
+// deployment uploads every third step, so batch boundaries fall between
+// uploads while public arrivals are pending.
 func TestAdvanceBatchEquivalence(t *testing.T) {
 	const horizon = 120
-	for _, proto := range []Protocol{SDPTimer, SDPANT} {
-		for _, k := range []int{1, 7, 120} {
-			t.Run(fmt.Sprintf("%s/k=%d", proto, k), func(t *testing.T) {
-				seq, err := Open(ViewDef{Within: 10}, batchOpts(proto))
-				if err != nil {
-					t.Fatal(err)
+	deployments := []struct {
+		name        string
+		def         ViewDef
+		uploadEvery int
+	}{
+		{"", ViewDef{Within: 10}, 1},
+		{"public-right", ViewDef{Within: 10, RightPublic: true}, 3},
+	}
+	for _, dep := range deployments {
+		for _, proto := range []Protocol{SDPTimer, SDPANT} {
+			for _, k := range []int{1, 7, 120} {
+				name := fmt.Sprintf("%s/k=%d", proto, k)
+				if dep.name != "" {
+					name = dep.name + "/" + name
 				}
-				bat, err := Open(ViewDef{Within: 10}, batchOpts(proto))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var steps []StepRows
-				for s := 0; s < horizon; s++ {
-					st := batchStep(s)
-					if err := seq.Advance(st.Left, st.Right); err != nil {
+				t.Run(name, func(t *testing.T) {
+					opts := batchOpts(proto)
+					opts.UploadEvery = dep.uploadEvery
+					seq, err := Open(dep.def, opts)
+					if err != nil {
 						t.Fatal(err)
 					}
-					steps = append(steps, st)
-					if len(steps) == k {
+					bat, err := Open(dep.def, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var steps []StepRows
+					for s := 0; s < horizon; s++ {
+						st := batchStep(s)
+						if err := seq.Advance(st.Left, st.Right); err != nil {
+							t.Fatal(err)
+						}
+						steps = append(steps, st)
+						if len(steps) == k {
+							if err := bat.AdvanceBatch(steps); err != nil {
+								t.Fatal(err)
+							}
+							steps = steps[:0]
+						}
+					}
+					if len(steps) > 0 {
 						if err := bat.AdvanceBatch(steps); err != nil {
 							t.Fatal(err)
 						}
-						steps = steps[:0]
 					}
-				}
-				if len(steps) > 0 {
-					if err := bat.AdvanceBatch(steps); err != nil {
+					ns, _ := seq.Count()
+					nb, _ := bat.Count()
+					if ns != nb {
+						t.Fatalf("count diverged: sequential %d, batched %d", ns, nb)
+					}
+					if seq.Stats() != bat.Stats() {
+						t.Fatalf("stats diverged:\nsequential %+v\nbatched    %+v", seq.Stats(), bat.Stats())
+					}
+					var sb, bb bytes.Buffer
+					if err := seq.Snapshot(&sb); err != nil {
 						t.Fatal(err)
 					}
-				}
-				ns, _ := seq.Count()
-				nb, _ := bat.Count()
-				if ns != nb {
-					t.Fatalf("count diverged: sequential %d, batched %d", ns, nb)
-				}
-				if seq.Stats() != bat.Stats() {
-					t.Fatalf("stats diverged:\nsequential %+v\nbatched    %+v", seq.Stats(), bat.Stats())
-				}
-				var sb, bb bytes.Buffer
-				if err := seq.Snapshot(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if err := bat.Snapshot(&bb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-					t.Fatalf("snapshots diverged (%d vs %d bytes): a batched run must be byte-identical to a sequential one", sb.Len(), bb.Len())
-				}
-			})
+					if err := bat.Snapshot(&bb); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
+						t.Fatalf("snapshots diverged (%d vs %d bytes): a batched run must be byte-identical to a sequential one", sb.Len(), bb.Len())
+					}
+				})
+			}
 		}
 	}
 }

@@ -72,5 +72,9 @@ func (bt *BudgetTracker) Consume(id int64, amount int) (alive bool) {
 	return true
 }
 
+// retire drops a record's remaining budget: the record left the join window
+// and never enters Transform again.
+func (bt *BudgetTracker) retire(id int64) { delete(bt.remaining, id) }
+
 // Active returns the number of records currently holding budget.
 func (bt *BudgetTracker) Active() int { return len(bt.remaining) }

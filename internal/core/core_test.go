@@ -339,6 +339,52 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 	}
 }
 
+// TestWindowBoundBudgetsRetire: in a window-bound deployment (records leave
+// the temporal join window long before their contribution budget runs out)
+// a record dropped from the active window must give up its budget entry, so
+// the budget tables hold exactly the active window instead of growing by
+// every record ever uploaded. Counts must match a run whose trackers enforce
+// no budget, since here the budget never binds.
+func TestWindowBoundBudgetsRetire(t *testing.T) {
+	wl := workload.TPCDS(2000, 43)
+	wl.Within, wl.MaxLag = 2, 2
+	tr := mustTrace(t, wl)
+
+	cfg := DefaultConfig(wl, 43)
+	f, err := NewTimerEngine(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlimited, err := NewTimerEngine(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlimited.leftBudget, unlimited.rightBudget = NewBudgetTracker(0), NewBudgetTracker(0)
+	var atFirst int
+	for _, st := range tr.Steps {
+		f.Step(st)
+		unlimited.Step(st)
+		if got, want := f.view.Real(), unlimited.view.Real(); got != want {
+			t.Fatalf("step %d: view holds %d real entries, unlimited-budget run %d", st.T, got, want)
+		}
+		if st.T != 999 && st.T != 1999 {
+			continue
+		}
+		active := f.leftBudget.Active() + f.rightBudget.Active()
+		if window := len(f.activeLeft) + len(f.activeRight); active != window {
+			t.Fatalf("step %d: %d records hold budget, %d are in the active window", st.T, active, window)
+		}
+		if st.T == 999 {
+			atFirst = active
+		} else if bound := atFirst + wl.MaxLeft + wl.MaxRight; active > bound {
+			t.Fatalf("budget table grew from %d (step 999) to %d (step 1999)", atFirst, active)
+		}
+	}
+	if f.created != unlimited.created {
+		t.Fatalf("created pairs diverged: %d vs unlimited %d", f.created, unlimited.created)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	wl := workload.TPCDS(150, 23)
 	tr := mustTrace(t, wl)

@@ -229,13 +229,14 @@ type Framework struct {
 	joinBuf         *oblivious.Buffer
 	deltaBuf        *oblivious.Buffer
 
-	// Window-merging scratch (Config.MergeWindows): the upload blocks
-	// accumulated since the last Shrink observation point and the arena
-	// their pending-right snapshots live in. Blocks never outlive one
-	// StepBatch call — the last step of a batch is always a merge boundary —
-	// so neither field is part of the durable state.
-	mergedBlocks     []uploadBlock
-	mergedRightArena []oblivious.Record
+	// The upload blocks awaiting the next Transform and the arena their
+	// pending-right snapshots live in: one block per sequential step, or
+	// every block since the last Shrink observation point under
+	// Config.MergeWindows. Blocks never outlive one Step/StepBatch call —
+	// the last step of a call always runs Transform — so neither field is
+	// part of the durable state.
+	blocks     []uploadBlock
+	blockRight []oblivious.Record
 
 	// Public input caps: the active windows are padded to these sizes so the
 	// Transform input — and therefore its cost and its padded output — is
@@ -364,7 +365,27 @@ func (f *Framework) Config() Config { return f.cfg }
 
 // Step implements Engine: run Transform on the step's uploads, then let the
 // Shrink protocol act, then the independent cache flush.
-func (f *Framework) Step(st workload.Step) {
+func (f *Framework) Step(st workload.Step) { f.step(st, true) }
+
+// StepBatch ingests a contiguous run of time steps in one call, and is the
+// engine-side target of batched ingestion (incshrink.DB.AdvanceBatch, the
+// serving layer's mailbox coalescing). Without Config.MergeWindows it is
+// exactly equivalent to calling Step on every element in order — same
+// counts, same simulated costs, same RNG draws, byte-identical snapshots.
+// With it, the upload blocks between Shrink observation points share one
+// Transform over the merged window; see step for the segment boundaries and
+// transform and DESIGN.md §12 for the costs that intentionally differ.
+func (f *Framework) StepBatch(steps []workload.Step) {
+	for i := range steps {
+		f.step(steps[i], i == len(steps)-1)
+	}
+}
+
+// step ingests one time step: it queues the step's upload block, runs
+// Transform when the segment must close, then lets the Shrink protocol act
+// and runs the independent cache flush. last marks the end of the caller's
+// batch: the framework never holds upload blocks across calls.
+func (f *Framework) step(st workload.Step, last bool) {
 	f.now = st.T
 	f.rt.SetTime(st.T)
 
@@ -374,8 +395,21 @@ func (f *Framework) Step(st workload.Step) {
 	// upload period and its budget window spans the temporal join window.
 	f.pendingRight = append(f.pendingRight, st.Right...)
 	if f.uploadDue(st.T) {
-		f.transform(st.Left, f.pendingRight)
-		f.pendingRight = nil
+		rlo := len(f.blockRight)
+		f.blockRight = append(f.blockRight, f.pendingRight...)
+		f.blocks = append(f.blocks, uploadBlock{
+			t: st.T, left: st.Left, rlo: rlo, rhi: len(f.blockRight),
+		})
+		f.pendingRight = f.pendingRight[:0]
+	}
+	// Without merging every upload is its own one-block segment. With it,
+	// the segment closes where deferral would become visible: before a
+	// Shrink observation (StepObserver), the independent flush, or the end
+	// of the batch.
+	if len(f.blocks) > 0 && (!f.cfg.MergeWindows || last || f.observesAt(st.T) || f.flushDue(st.T)) {
+		f.transform(f.blocks)
+		f.blocks = f.blocks[:0]
+		f.blockRight = f.blockRight[:0]
 	}
 
 	shrinkProbe := f.ins.phaseStart(f.rt)
@@ -391,83 +425,18 @@ func (f *Framework) Step(st workload.Step) {
 	f.ins.stepDone(f)
 }
 
-// StepBatch ingests a contiguous run of time steps in one call. Without
-// Config.MergeWindows it is defined as exactly equivalent to calling Step on
-// every element in order — same counts, same simulated costs, same RNG
-// draws, byte-identical snapshots — and is the engine-side target of batched
-// ingestion (incshrink.DB.AdvanceBatch, the serving layer's mailbox
-// coalescing). The per-step scratch — the framework-owned join/delta
-// buffers, the padding arena and input-window capacity, the memoized sort
-// networks — is warm after the first step, so the batch's marginal steps run
-// off the allocator.
-//
-// With MergeWindows set, upload blocks between Shrink observation points are
-// coalesced: each segment runs one Transform over the merged window (one
-// kn-element Batcher network instead of k n-element ones). Segment
-// boundaries are exactly the steps where deferral would be visible — the
-// Shrink protocol observes the counter/cache (StepObserver), the independent
-// flush fires, or the batch ends — so counter values at every observation
-// point, all DP noise draws, and the view contents match sequential
-// execution on single-contribution streams. See transformMerged and
-// DESIGN.md §12 for the costs that intentionally differ.
-func (f *Framework) StepBatch(steps []workload.Step) {
-	if !f.cfg.MergeWindows {
-		for i := range steps {
-			f.Step(steps[i])
-		}
-		return
-	}
-	f.mergedBlocks = f.mergedBlocks[:0]
-	f.mergedRightArena = f.mergedRightArena[:0]
-	for i := range steps {
-		st := steps[i]
-		f.now = st.T
-		f.rt.SetTime(st.T)
-
-		f.pendingRight = append(f.pendingRight, st.Right...)
-		if f.uploadDue(st.T) {
-			rlo := len(f.mergedRightArena)
-			f.mergedRightArena = append(f.mergedRightArena, f.pendingRight...)
-			f.mergedBlocks = append(f.mergedBlocks, uploadBlock{
-				t: st.T, left: st.Left, rlo: rlo, rhi: len(f.mergedRightArena),
-			})
-			f.pendingRight = f.pendingRight[:0]
-		}
-		// Transform must land before anything at this step can observe its
-		// effect: a Shrink observation, the independent flush, or the end of
-		// the batch (the framework never holds blocks across calls).
-		if len(f.mergedBlocks) > 0 && (f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
-			f.transformMerged(f.mergedBlocks)
-			f.mergedBlocks = f.mergedBlocks[:0]
-			f.mergedRightArena = f.mergedRightArena[:0]
-		}
-
-		shrinkProbe := f.ins.phaseStart(f.rt)
-		f.shrink.Tick(f, st.T)
-		f.ins.phaseDone("shrink", mpc.OpShrink, shrinkProbe, f.rt)
-
-		if f.flushDue(st.T) {
-			fetched, lost := f.cache.FlushInto(f.view, f.cfg.FlushSize)
-			f.lostReal += lost
-			f.rt.ObserveFlush(fetched, "flush")
-		}
-
-		f.ins.stepDone(f)
-	}
-}
-
-// uploadBlock is one step's upload captured for window merging: the step
-// time, the left upload, and the span of the pending-right arena holding the
-// public-relation arrivals that accumulated up to it. inLeft/inRight spans
-// are filled by transformMerged once the merged input is built, so the
-// retain pass can walk blocks newest-first.
+// uploadBlock is one step's upload awaiting Transform: the step time, the
+// left upload, and the span of f.blockRight holding the public-relation
+// arrivals that accumulated up to it. inLeft/inRight spans are filled by
+// transform once the input is built, so the retain pass can walk blocks
+// newest-first.
 type uploadBlock struct {
 	t         int
 	left      []oblivious.Record
-	rlo, rhi  int // f.mergedRightArena span
-	inLeftLo  int // merged f.inLeft span (set by transformMerged)
+	rlo, rhi  int // f.blockRight span
+	inLeftLo  int // f.inLeft span (set by transform)
 	inLeftHi  int
-	inRightLo int // merged f.inRight span (set by transformMerged)
+	inRightLo int // f.inRight span (set by transform)
 	inRightHi int
 }
 
@@ -495,50 +464,90 @@ func (f *Framework) uploadDue(t int) bool {
 	return (t+1)%f.wl.UploadEvery == 0
 }
 
-// transform is the Transform protocol of Algorithm 1 for one upload. Its
-// intermediates live in per-framework scratch and pooled columnar buffers,
-// so a steady-state invocation stays off the allocator: padded inputs reuse
-// f.inLeft/f.inRight, padding-record payloads live in the f.padRows arena,
-// and the join output, compaction output and overflow carry are
-// arena-backed oblivious.Buffers.
-func (f *Framework) transform(newLeft, newRight []oblivious.Record) {
+// transform is the Transform protocol of Algorithm 1, run once over a
+// segment of k upload blocks: k = 1 for every sequential step, k >= 1 for a
+// window-merged segment (Config.MergeWindows). Its intermediates live in
+// per-framework scratch and pooled columnar buffers, so a steady-state
+// invocation stays off the allocator: padded inputs reuse f.inLeft/f.inRight,
+// padding-record payloads live in the f.padRows arena, and the join output,
+// compaction output and overflow carry are arena-backed oblivious.Buffers.
+//
+// For k > 1 it is the per-merged-invocation variant of Algorithm 1:
+//
+//   - One sort-merge join over the k*MaxLeft (+caps) merged input — the
+//     meter's ChargeSort follows SortCompareExchanges of the merged adapter
+//     size, so the superlinear saving is priced, not hidden.
+//   - The omega truncation bounds each record's contribution per MERGED
+//     invocation, not per block; on streams where a record's pairs all land
+//     in one block (multiplicity-1 workloads like the corebench stream) the
+//     produced pair set is identical to sequential.
+//   - The cardinality counter is re-shared once per covered block — all k
+//     reshares carrying the final cumulative count — so the RNG stream and
+//     the counter value at every observation point line up exactly with
+//     sequential execution (no Shrink observation can occur inside a
+//     segment, by construction of the boundaries).
+//   - Budgets age identically: retain walks each record over every block it
+//     would have been input to, consuming omega per block and applying the
+//     temporal-window check at that block's time, reproducing the sequential
+//     budget and arrival maps including death order.
+//   - transforms counts one invocation, and one batch event is emitted for
+//     the merged delta (transcript shape differs from sequential; the
+//     security argument is unchanged because the merged sizes are public
+//     functions of k and the deployment).
+func (f *Framework) transform(blocks []uploadBlock) {
 	probe := f.ins.phaseStart(f.rt)
 	f.transforms++
-	t := f.now
+	k := len(blocks)
 
 	// Register fresh records with their contribution budget and arrival
-	// time; pad the uploads to the public block sizes so the input size is
-	// data-independent.
-	for _, r := range newLeft {
-		f.leftBudget.Register(r.ID)
-		f.leftSince[r.ID] = t
-	}
-	for _, r := range newRight {
-		f.rightBudget.Register(r.ID)
-		f.rightSince[r.ID] = t
+	// time.
+	for bi := range blocks {
+		b := &blocks[bi]
+		for _, r := range b.left {
+			f.leftBudget.Register(r.ID)
+			f.leftSince[r.ID] = b.t
+		}
+		for _, r := range f.blockRight[b.rlo:b.rhi] {
+			f.rightBudget.Register(r.ID)
+			f.rightSince[r.ID] = b.t
+		}
 	}
 
 	// Reserve the padding arena up front so the Record row views handed out
-	// by newPadRecord stay valid for the whole invocation.
+	// by appendPadded stay valid for the whole invocation.
 	padStart := f.ins.now()
 	f.padRows.Reset()
-	f.padRows.Grow(f.wl.MaxLeft + f.wl.MaxRight + f.activeLeftCap + f.activeRightCap)
+	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.activeLeftCap + f.activeRightCap)
 
-	// The full input is the padded new upload plus the active window padded
-	// to its public cap, so the input size (and thus the protocol's cost and
-	// output size) is data-independent. Public relations need no padding
-	// (their content is not secret).
-	f.inLeft = append(f.inLeft[:0], newLeft...)
-	f.inLeft = f.padTo(f.inLeft, f.wl.MaxLeft)
+	// The full input is every upload block padded to its public block size
+	// (pads carry the block's arrival time), then the active windows — the
+	// state from before the segment — padded to their public caps, so the
+	// input size (and thus the protocol's cost and output size) is
+	// data-independent. Public relations need no padding (their content is
+	// not secret).
+	f.inLeft = f.inLeft[:0]
+	for bi := range blocks {
+		b := &blocks[bi]
+		b.inLeftLo = len(f.inLeft)
+		f.inLeft = f.appendPadded(f.inLeft, b.left, f.wl.MaxLeft, b.t)
+		b.inLeftHi = len(f.inLeft)
+	}
 	nLeft := len(f.inLeft)
-	f.inLeft = f.appendPaddedActive(f.inLeft, f.activeLeft, f.activeLeftCap)
+	f.inLeft = f.appendPaddedActive(f.inLeft, f.activeLeft, f.activeLeftCap, f.leftBudget, f.leftSince)
 
-	f.inRight = append(f.inRight[:0], newRight...)
-	if !f.wl.RightPublic {
-		f.inRight = f.padTo(f.inRight, f.wl.MaxRight)
+	rightBlock := f.wl.MaxRight
+	if f.wl.RightPublic {
+		rightBlock = 0
+	}
+	f.inRight = f.inRight[:0]
+	for bi := range blocks {
+		b := &blocks[bi]
+		b.inRightLo = len(f.inRight)
+		f.inRight = f.appendPadded(f.inRight, f.blockRight[b.rlo:b.rhi], rightBlock, b.t)
+		b.inRightHi = len(f.inRight)
 	}
 	nRight := len(f.inRight)
-	f.inRight = f.appendPaddedActive(f.inRight, f.activeRight, f.activeRightCap)
+	f.inRight = f.appendPaddedActive(f.inRight, f.activeRight, f.activeRightCap, f.rightBudget, f.rightSince)
 	f.ins.observePad(padStart)
 
 	clear(f.newIDs)
@@ -571,136 +580,10 @@ func (f *Framework) transform(newLeft, newRight []oblivious.Record) {
 		f.overflow = next
 	}
 
-	// Alg. 1 lines 4-6: update and re-share the cardinality counter.
-	newReal := delta.Real()
-	c, err := f.rt.RecoverInside(counterKey)
-	if err != nil {
-		panic("core: counter share lost: " + err.Error())
-	}
-	f.rt.ShareToServers(counterKey, c+uint32(newReal))
-	f.created += newReal
-
-	// Alg. 1 line 7: append the exhaustively padded output to the cache
-	// (Append copies; delta is framework scratch reused by the next
-	// invocation).
-	f.cache.Append(delta)
-	f.rt.ObserveBatch(delta.Len(), "transform")
-
-	// Charge contribution budgets: every private input record is consumed
-	// omega for this invocation, then the active sets are rebuilt from the
-	// still-alive, still-in-window records. The input windows already copied
-	// the previous active sets, so the active slices can be rebuilt in
-	// place.
-	f.activeLeft = f.retainAlive(f.activeLeft[:0], f.inLeft, f.leftBudget, f.leftSince, t)
-	f.activeRight = f.retainAlive(f.activeRight[:0], f.inRight, f.rightBudget, f.rightSince, t)
-
-	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
-}
-
-// transformMerged is the window-merged Transform: one protocol invocation
-// over every upload block of a segment. Relative to k sequential transforms
-// it is semantically the per-merged-invocation variant of Algorithm 1:
-//
-//   - One sort-merge join over the k*MaxLeft (+caps) merged input — the
-//     meter's ChargeSort follows SortCompareExchanges of the merged adapter
-//     size, so the superlinear saving is priced, not hidden.
-//   - The omega truncation bounds each record's contribution per MERGED
-//     invocation, not per block; on streams where a record's pairs all land
-//     in one block (multiplicity-1 workloads like the corebench stream) the
-//     produced pair set is identical to sequential.
-//   - The cardinality counter is re-shared once per covered block — all k
-//     reshares carrying the final cumulative count — so the RNG stream and
-//     the counter value at every observation point line up exactly with
-//     sequential execution (no Shrink observation can occur inside a
-//     segment, by construction of the boundaries).
-//   - Budgets age identically: the retain pass walks each record over every
-//     block it would have been input to, consuming omega per block and
-//     applying the temporal-window check at that block's time, reproducing
-//     the sequential budget and arrival maps including death order.
-//   - transforms counts one invocation, and one batch event is emitted for
-//     the merged delta (transcript shape differs from sequential; the
-//     security argument is unchanged because the merged sizes are public
-//     functions of k and the deployment).
-func (f *Framework) transformMerged(blocks []uploadBlock) {
-	probe := f.ins.phaseStart(f.rt)
-	f.transforms++
-	k := len(blocks)
-
-	for bi := range blocks {
-		b := &blocks[bi]
-		for _, r := range b.left {
-			f.leftBudget.Register(r.ID)
-			f.leftSince[r.ID] = b.t
-		}
-		for _, r := range f.mergedRightArena[b.rlo:b.rhi] {
-			f.rightBudget.Register(r.ID)
-			f.rightSince[r.ID] = b.t
-		}
-	}
-
-	padStart := f.ins.now()
-	f.padRows.Reset()
-	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.activeLeftCap + f.activeRightCap)
-
-	// Merged input: every block padded to its public block size (pads carry
-	// the block's arrival time, as they would sequentially), then the active
-	// windows — the state from before the segment — padded to their caps.
-	f.inLeft = f.inLeft[:0]
-	for bi := range blocks {
-		b := &blocks[bi]
-		b.inLeftLo = len(f.inLeft)
-		f.inLeft = append(f.inLeft, b.left...)
-		for len(f.inLeft) < b.inLeftLo+f.wl.MaxLeft {
-			f.inLeft = append(f.inLeft, f.newPadRecordAt(b.t))
-		}
-		b.inLeftHi = len(f.inLeft)
-	}
-	nLeft := len(f.inLeft)
-	f.inLeft = f.appendPaddedActive(f.inLeft, f.activeLeft, f.activeLeftCap)
-
-	f.inRight = f.inRight[:0]
-	for bi := range blocks {
-		b := &blocks[bi]
-		b.inRightLo = len(f.inRight)
-		f.inRight = append(f.inRight, f.mergedRightArena[b.rlo:b.rhi]...)
-		if !f.wl.RightPublic {
-			for len(f.inRight) < b.inRightLo+f.wl.MaxRight {
-				f.inRight = append(f.inRight, f.newPadRecordAt(b.t))
-			}
-		}
-		b.inRightHi = len(f.inRight)
-	}
-	nRight := len(f.inRight)
-	f.inRight = f.appendPaddedActive(f.inRight, f.activeRight, f.activeRightCap)
-	f.ins.observePad(padStart)
-
-	clear(f.newIDs)
-	for _, r := range f.inLeft[:nLeft] {
-		f.newIDs[r.ID] = true
-	}
-	for _, r := range f.inRight[:nRight] {
-		f.newIDs[r.ID] = true
-	}
-
-	joined := f.joinBuf
-	joined.Reset()
-	f.truncatedJoinInto(joined, f.inLeft, f.inRight)
-
-	delta := joined
-	if cap := f.deltaCap(nLeft, nRight); cap > 0 {
-		f.overflow.AppendAll(joined)
-		delta = f.deltaBuf
-		delta.Reset()
-		next := oblivious.GetBuffer(workload.JoinArity)
-		oblivious.TightCompactInto(f.overflow, cap, delta, next, f.rt.Meter, mpc.OpTransform, tupleBits)
-		f.overflow.Release()
-		f.overflow = next
-	}
-
-	// Alg. 1 lines 4-6 for the whole segment: one reshare per covered block
-	// so the joint-randomness stream advances exactly as it would have
-	// sequentially; every reshare carries the final count, which is the only
-	// value any later observation can see.
+	// Alg. 1 lines 4-6: update and re-share the cardinality counter, once
+	// per covered block so the joint-randomness stream advances exactly as
+	// it would have sequentially; every reshare carries the final count,
+	// which is the only value any later observation can see.
 	newReal := delta.Real()
 	c, err := f.rt.RecoverInside(counterKey)
 	if err != nil {
@@ -712,35 +595,41 @@ func (f *Framework) transformMerged(blocks []uploadBlock) {
 	}
 	f.created += newReal
 
+	// Alg. 1 line 7: append the exhaustively padded output to the cache
+	// (Append copies; delta is framework scratch reused by the next
+	// invocation).
 	f.cache.Append(delta)
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
-	// Rebuild the active windows in sequential order — newest block first,
-	// then the pre-segment actives — walking each record's budget over every
-	// block it participated in.
+	// Charge contribution budgets and rebuild the active windows in
+	// sequential order — newest block first, then the pre-segment actives.
+	// The input windows already copied the previous active sets, so the
+	// active slices can be rebuilt in place.
 	f.activeLeft = f.activeLeft[:0]
 	for bi := k - 1; bi >= 0; bi-- {
 		b := &blocks[bi]
-		f.activeLeft = f.mergedRetain(f.activeLeft, f.inLeft[b.inLeftLo:b.inLeftHi], f.leftBudget, f.leftSince, blocks)
+		f.activeLeft = f.retain(f.activeLeft, f.inLeft[b.inLeftLo:b.inLeftHi], f.leftBudget, f.leftSince, blocks)
 	}
-	f.activeLeft = f.mergedRetain(f.activeLeft, f.inLeft[nLeft:], f.leftBudget, f.leftSince, blocks)
+	f.activeLeft = f.retain(f.activeLeft, f.inLeft[nLeft:], f.leftBudget, f.leftSince, blocks)
 
 	f.activeRight = f.activeRight[:0]
 	for bi := k - 1; bi >= 0; bi-- {
 		b := &blocks[bi]
-		f.activeRight = f.mergedRetain(f.activeRight, f.inRight[b.inRightLo:b.inRightHi], f.rightBudget, f.rightSince, blocks)
+		f.activeRight = f.retain(f.activeRight, f.inRight[b.inRightLo:b.inRightHi], f.rightBudget, f.rightSince, blocks)
 	}
-	f.activeRight = f.mergedRetain(f.activeRight, f.inRight[nRight:], f.rightBudget, f.rightSince, blocks)
+	f.activeRight = f.retain(f.activeRight, f.inRight[nRight:], f.rightBudget, f.rightSince, blocks)
 
 	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
 }
 
-// mergedRetain is retainAlive for a merged segment: each record consumes
-// omega for every block from its arrival onward and must stay inside the
-// temporal window at each of those block times — exactly the per-step
-// consume-then-check sequence retainAlive would have run, so budgets, death
-// steps and the arrival map come out identical to sequential execution.
-func (f *Framework) mergedRetain(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, blocks []uploadBlock) []oblivious.Record {
+// retain appends to out the input records that survive the segment: each
+// record consumes omega for every block from its arrival onward and must
+// stay inside the temporal window at each of those block times — the
+// per-step consume-then-check sequence of Algorithm 1, so budgets, death
+// steps and the arrival map come out identical to sequential execution. A
+// dropped record never enters Transform again, so its arrival time and any
+// budget it still holds are retired with it.
+func (f *Framework) retain(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, blocks []uploadBlock) []oblivious.Record {
 	for _, r := range in {
 		if r.ID < 0 {
 			continue // upload padding never persists
@@ -762,6 +651,7 @@ func (f *Framework) mergedRetain(out, in []oblivious.Record, bt *BudgetTracker, 
 			out = append(out, r)
 		} else {
 			delete(since, r.ID)
+			bt.retire(r.ID)
 		}
 	}
 	return out
@@ -782,69 +672,37 @@ func (f *Framework) truncatedJoinInto(dst *oblivious.Buffer, inLeft, inRight []o
 		workload.ColKey, workload.ColKey, match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
 }
 
-// appendPaddedActive appends an active window padded to its public cap with
-// dummy records. Windows larger than the cap cannot occur (the cap is the
-// exact product of block size and surviving invocations), but clamp
-// defensively.
-func (f *Framework) appendPaddedActive(dst, active []oblivious.Record, cap int) []oblivious.Record {
-	if cap == 0 {
-		return append(dst, active...) // public relation: no padding
-	}
-	if len(active) > cap {
+// appendPaddedActive appends an active window padded to its public cap (0
+// for a public relation: no padding). In a window-bound deployment the
+// window can hold one generation more than the cap — records stay active
+// through the invocation at which they reach the window's edge — and that
+// oldest tail is clamped off: it can form no new pairs and never enters
+// Transform again, so its arrival times and budgets are retired with it.
+func (f *Framework) appendPaddedActive(dst, active []oblivious.Record, cap int, bt *BudgetTracker, since map[int64]int) []oblivious.Record {
+	if cap > 0 && len(active) > cap {
+		for _, r := range active[cap:] {
+			delete(since, r.ID)
+			bt.retire(r.ID)
+		}
 		active = active[:cap]
 	}
-	dst = append(dst, active...)
-	for n := len(active); n < cap; n++ {
-		dst = append(dst, f.newPadRecord())
+	return f.appendPadded(dst, active, cap, f.now)
+}
+
+// appendPadded appends rs to dst and pads them up to size with dummy
+// records stamped with arrival step t (each block's pads carry that block's
+// time). Dummies carry fresh never-matching keys, and their payload rows
+// live in the per-transform flat arena (f.padRows) instead of their own heap
+// allocations; they never outlive the invocation (retain drops them before
+// the arena is reset).
+func (f *Framework) appendPadded(dst, rs []oblivious.Record, size, t int) []oblivious.Record {
+	dst = append(dst, rs...)
+	for n := len(rs); n < size; n++ {
+		f.padRows.AppendRow(table.Row{f.dummyID, int64(t)})
+		dst = append(dst, oblivious.Record{ID: f.dummyID, Row: f.padRows.Row(f.padRows.Rows() - 1)})
+		f.dummyID--
 	}
 	return dst
-}
-
-// padTo fills an upload to the fixed block size with dummy records that
-// carry fresh never-matching keys.
-func (f *Framework) padTo(rs []oblivious.Record, size int) []oblivious.Record {
-	for len(rs) < size {
-		rs = append(rs, f.newPadRecord())
-	}
-	return rs
-}
-
-// newPadRecord mints a padding record whose payload row lives in the
-// per-transform flat arena (f.padRows) instead of its own heap allocation.
-// Padding records never outlive the invocation: retainAlive drops them
-// before the arena is reset.
-func (f *Framework) newPadRecord() oblivious.Record {
-	return f.newPadRecordAt(f.now)
-}
-
-// newPadRecordAt mints a padding record stamped with an explicit arrival
-// step — in a merged transform, each block's pads carry that block's time,
-// just as they would have sequentially.
-func (f *Framework) newPadRecordAt(t int) oblivious.Record {
-	f.padRows.AppendRow(table.Row{f.dummyID, int64(t)})
-	r := oblivious.Record{ID: f.dummyID, Row: f.padRows.Row(f.padRows.Rows() - 1)}
-	f.dummyID--
-	return r
-}
-
-// retainAlive consumes omega budget from each input record and appends the
-// survivors — still alive and still able to form new pairs within the
-// temporal window — to out.
-func (f *Framework) retainAlive(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, t int) []oblivious.Record {
-	for _, r := range in {
-		if r.ID < 0 {
-			continue // upload padding never persists
-		}
-		alive := bt.Consume(r.ID, f.cfg.Omega)
-		arrived, ok := since[r.ID]
-		inWindow := ok && int64(t-arrived) <= f.wl.Within
-		if alive && inWindow {
-			out = append(out, r)
-		} else {
-			delete(since, r.ID)
-		}
-	}
-	return out
 }
 
 // Query implements Engine: one oblivious scan over the materialized view,

@@ -16,7 +16,6 @@ type PartyID int
 const (
 	Server0 PartyID = iota
 	Server1
-	numParties
 )
 
 // String implements fmt.Stringer.

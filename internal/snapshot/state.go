@@ -8,48 +8,12 @@ import (
 	"incshrink/internal/oblivious"
 	"incshrink/internal/secretshare"
 	"incshrink/internal/securearray"
-	"incshrink/internal/table"
 )
 
 // This file holds the section codecs for the data-plane containers and the
 // MPC runtime. Each section is self-delimiting (every variable-length field
 // is length-prefixed), so sections compose by concatenation and higher
 // layers (core, incshrink, dpsync) interleave their own fields freely.
-
-// EncodeFlat writes a table.Flat arena: arity, then the row-major data.
-// Non-empty arity-0 arenas are refused symmetrically with DecodeFlatInto:
-// their row count is carried by no data bytes, which would hand a forged
-// stream an unbounded reconstruction loop for free.
-func EncodeFlat(e *Encoder, f *table.Flat) {
-	if f.Arity() == 0 && f.Rows() > 0 {
-		e.Fail("cannot encode a non-empty arity-0 arena (%d rows)", f.Rows())
-	}
-	e.Int(f.Arity())
-	e.Int(f.Rows())
-	e.I64s(f.Data())
-}
-
-// DecodeFlatInto reloads an arena encoded with EncodeFlat into dst, which
-// must have the encoded arity and is reset first.
-func DecodeFlatInto(d *Decoder, dst *table.Flat) error {
-	arity := d.Int()
-	rows := d.Int()
-	data := d.I64s()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if arity != dst.Arity() {
-		d.Corrupt("flat arena arity %d, restoring into arity %d", arity, dst.Arity())
-		return d.Err()
-	}
-	if arity < 0 || rows < 0 || len(data) != rows*arity || (arity == 0 && rows > 0) {
-		d.Corrupt("flat arena %d rows x %d arity carries %d attributes", rows, arity, len(data))
-		return d.Err()
-	}
-	dst.Reset()
-	dst.AppendData(data)
-	return d.Err()
-}
 
 // EncodeBuffer writes an oblivious.Buffer: the payload arena plus the
 // parallel flag and source-ID columns.
